@@ -698,6 +698,9 @@ Status RingOram::PlanAccess(BlockId id, std::optional<Leaf> forced_leaf, BatchPl
       entry->leaf = new_leaf;
       entry->from_logical_access = true;
       if (results != nullptr) {
+        // An in-flight physical pull deposits the value under deposit_mu_
+        // (DepositPlaintext), concurrently with this plan.
+        std::lock_guard<std::mutex> dlk(deposit_mu_);
         if (entry->value_ready) {
           (*results)[result_slot] = entry->value;
         } else {

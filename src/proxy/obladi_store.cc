@@ -829,23 +829,47 @@ Status ObladiStore::CloseEpochNow() {
       return id.ok() ? oram_->router().ShardOf(*id) : 0;
     };
   }
-  EpochOutcome outcome = engine_.EndEpoch(admission);
+  // The waiters of exactly the transactions EndEpoch decides leave
+  // commit_waiters_ in the same critical section. A transaction that begins
+  // after EndEpoch and commits while this close is still running belongs to
+  // the next epoch: its waiter must not ride this epoch's retirement, which
+  // would release it as "aborted" although the next EndEpoch commits it.
+  // Lock order: mu_, then the engine lock.
+  EpochOutcome outcome;
+  std::unordered_map<Timestamp, std::shared_ptr<std::promise<Status>>> waiters;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    outcome = engine_.EndEpoch(admission);
+    waiters.swap(commit_waiters_);
+  }
+  // From here on the epoch's transactions are already decided (EndEpoch
+  // cleared them), so any failure must resolve their commit waiters — in
+  // manual mode nobody else ever will.
+  auto fail_epoch = [this, &waiters](Status st) -> Status {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto& [ts, waiter] : waiters) {
+      waiter->set_value(Status::Aborted("proxy crashed"));
+    }
+    waiters.clear();
+    FailAllWaiters();
+    return st;
+  };
 
   std::vector<std::pair<BlockId, Bytes>> writes;
   writes.reserve(outcome.final_writes.size());
   for (const auto& [key, value] : outcome.final_writes) {
     auto id = directory_.Lookup(key);
     if (!id.ok()) {
-      return Status::Internal("committed write for unknown key");
+      return fail_epoch(Status::Internal("committed write for unknown key"));
     }
     writes.emplace_back(*id, EncodeValue(value));
   }
-  if (cfg_.pipeline_epochs) {
-    // The schedule already advanced with the batches; the close only
-    // deposits the decided values — no storage wave.
-    OBLADI_RETURN_IF_ERROR(oram_->ApplyWriteValues(writes));
-  } else {
-    OBLADI_RETURN_IF_ERROR(oram_->WriteBatch(writes));
+  // Pipelined: the schedule already advanced with the batches; the close
+  // only deposits the decided values — no storage wave.
+  Status write_st = cfg_.pipeline_epochs ? oram_->ApplyWriteValues(writes)
+                                         : oram_->WriteBatch(writes);
+  if (!write_st.ok()) {
+    return fail_epoch(write_st);
   }
 
   // Depth-D pipeline: wait for a free retirement slot — at most
@@ -856,14 +880,6 @@ Status ObladiStore::CloseEpochNow() {
     std::lock_guard<std::mutex> lk(mu_);
     first_dispatch_us = epoch_first_dispatch_us_;
   }
-  // From here on the epoch's transactions are already decided (EndEpoch
-  // cleared them), so any failure must resolve the blocked commit waiters —
-  // in manual mode nobody else ever will.
-  auto fail_epoch = [this](Status st) -> Status {
-    std::lock_guard<std::mutex> lk(mu_);
-    FailAllWaiters();
-    return st;
-  };
   uint64_t stall_us = 0;
   bool overlapped = false;
   Status idle_st = AwaitRetireSlot(cfg_.pipeline_depth, first_dispatch_us, &stall_us,
@@ -903,13 +919,13 @@ Status ObladiStore::CloseEpochNow() {
   }
   job.committed.insert(outcome.committed.begin(), outcome.committed.end());
   job.epoch = closing_epoch;
+  // The waiters travel with the retirement: clients learn the decisions only
+  // once the epoch is durable (fate sharing, released asynchronously).
+  job.waiters = std::move(waiters);
 
   size_t inflight = oram_->InflightBlocks();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    // The waiters travel with the retirement: clients learn the decisions
-    // only once the epoch is durable (fate sharing, released asynchronously).
-    job.waiters.swap(commit_waiters_);
     ResetEpochBatchesLocked();
     inflight_fetches_.clear();
     stats_.epochs++;

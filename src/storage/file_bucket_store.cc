@@ -186,103 +186,175 @@ Status FileBucketStore::ScanFile() {
   return Status::Ok();
 }
 
-Status FileBucketStore::AppendRecord(std::vector<uint8_t>& record) {
+void FileBucketStore::SealRecord(std::vector<uint8_t>& buf, size_t record_start) const {
   if (file_version_ >= kFormatV2) {
-    PutU32(record, Crc32(record.data(), record.size()));
+    PutU32(buf, Crc32(&buf[record_start], buf.size() - record_start));
   }
-  ssize_t put = ::pwrite(fd_, record.data(), record.size(),
-                         static_cast<off_t>(end_offset_));
-  if (put != static_cast<ssize_t>(record.size())) {
+}
+
+Status FileBucketStore::AppendLocked(const std::vector<uint8_t>& buf) {
+  ssize_t put = ::pwrite(fd_, buf.data(), buf.size(), static_cast<off_t>(end_offset_));
+  if (put != static_cast<ssize_t>(buf.size())) {
     return Status::Unavailable("short write to bucket store file: " + path_);
   }
   if (sync_writes_ && ::fsync(fd_) != 0) {
     return Status::Unavailable("fsync failed on bucket store file: " + path_);
   }
-  end_offset_ += record.size();
+  end_offset_ += buf.size();
   return Status::Ok();
 }
 
 StatusOr<Bytes> FileBucketStore::ReadSlot(BucketIndex bucket, uint32_t version,
                                           SlotIndex slot) {
-  if (bucket >= num_buckets_ || slot >= slots_per_bucket_) {
-    return Status::InvalidArgument("slot address out of range");
-  }
-  SlotLocation loc;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!open_status_.ok()) {
-      return open_status_;
-    }
-    const VersionIndex& versions = buckets_[bucket];
-    auto it = versions.find(version);
-    if (it == versions.end()) {
-      return Status::NotFound("bucket version not present");
-    }
-    loc = it->second[slot];
-  }
-  // pread is position-independent and thread-safe: the actual I/O runs
-  // outside the index lock.
-  Bytes out(loc.length);
-  if (loc.length > 0) {
-    ssize_t got = ::pread(fd_, out.data(), out.size(), static_cast<off_t>(loc.offset));
-    if (got != static_cast<ssize_t>(out.size())) {
-      return Status::DataLoss("short read from bucket store file: " + path_);
-    }
-  }
-  return out;
+  return std::move(ReadSlotsBatch({SlotRef{bucket, version, slot}}).front());
 }
 
 Status FileBucketStore::WriteBucket(BucketIndex bucket, uint32_t version,
                                     std::vector<Bytes> slots) {
-  if (bucket >= num_buckets_) {
-    return Status::InvalidArgument("bucket out of range");
-  }
-  if (slots.size() != slots_per_bucket_) {
-    return Status::InvalidArgument("bucket image has wrong slot count");
-  }
-  std::vector<uint8_t> record;
-  size_t payload = 0;
-  for (const Bytes& s : slots) {
-    payload += 4 + s.size();
-  }
-  record.reserve(13 + payload + kCrcBytes);
-  record.push_back(kRecordWrite);
-  PutU32(record, bucket);
-  PutU32(record, version);
-  PutU32(record, static_cast<uint32_t>(slots.size()));
-  std::vector<SlotLocation> locations;
-  locations.reserve(slots.size());
-  std::lock_guard<std::mutex> lk(mu_);
-  if (!open_status_.ok()) {
-    return open_status_;
-  }
-  for (const Bytes& s : slots) {
-    PutU32(record, static_cast<uint32_t>(s.size()));
-    locations.push_back(
-        {end_offset_ + record.size(), static_cast<uint32_t>(s.size())});
-    record.insert(record.end(), s.begin(), s.end());
-  }
-  OBLADI_RETURN_IF_ERROR(AppendRecord(record));
-  buckets_[bucket][version] = std::move(locations);  // overwrite = replay
-  return Status::Ok();
+  std::vector<BucketImage> images(1);
+  images[0] = BucketImage{bucket, version, std::move(slots)};
+  return WriteBucketsBatch(std::move(images));
 }
 
 Status FileBucketStore::TruncateBucket(BucketIndex bucket, uint32_t keep_from_version) {
-  if (bucket >= num_buckets_) {
-    return Status::InvalidArgument("bucket out of range");
+  return TruncateBucketsBatch({TruncateRef{bucket, keep_from_version}});
+}
+
+std::vector<StatusOr<Bytes>> FileBucketStore::ReadSlotsBatch(const std::vector<SlotRef>& refs) {
+  // Resolve every location under one index-lock hold; an entry that cannot
+  // be served keeps its own error.
+  std::vector<Status> errors(refs.size());
+  std::vector<SlotLocation> locations(refs.size());
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const SlotRef& ref = refs[i];
+      if (ref.bucket >= num_buckets_ || ref.slot >= slots_per_bucket_) {
+        errors[i] = Status::InvalidArgument("slot address out of range");
+        continue;
+      }
+      if (!open_status_.ok()) {
+        errors[i] = open_status_;
+        continue;
+      }
+      const VersionIndex& versions = buckets_[ref.bucket];
+      auto it = versions.find(ref.version);
+      if (it == versions.end()) {
+        errors[i] = Status::NotFound("bucket version not present");
+        continue;
+      }
+      locations[i] = it->second[ref.slot];
+    }
   }
-  std::vector<uint8_t> record;
-  record.reserve(9 + kCrcBytes);
-  record.push_back(kRecordTruncate);
-  PutU32(record, bucket);
-  PutU32(record, keep_from_version);
+  // pread is position-independent and thread-safe, and indexed bytes are
+  // never rewritten: the actual I/O runs outside the index lock.
+  std::vector<StatusOr<Bytes>> out;
+  out.reserve(refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    if (!errors[i].ok()) {
+      out.push_back(std::move(errors[i]));
+      continue;
+    }
+    Bytes slot(locations[i].length);
+    if (!slot.empty() &&
+        ::pread(fd_, slot.data(), slot.size(), static_cast<off_t>(locations[i].offset)) !=
+            static_cast<ssize_t>(slot.size())) {
+      out.push_back(Status::DataLoss("short read from bucket store file: " + path_));
+      continue;
+    }
+    out.push_back(std::move(slot));
+  }
+  return out;
+}
+
+Status FileBucketStore::WriteBucketsBatch(std::vector<BucketImage> images) {
+  size_t total = 0;
+  for (const BucketImage& image : images) {
+    if (image.bucket >= num_buckets_) {
+      return Status::InvalidArgument("bucket out of range");
+    }
+    if (image.slots.size() != slots_per_bucket_) {
+      return Status::InvalidArgument("bucket image has wrong slot count");
+    }
+    total += 13 + kCrcBytes;
+    for (const Bytes& s : image.slots) {
+      total += 4 + s.size();
+    }
+  }
+  if (images.empty()) {
+    return Status::Ok();
+  }
+  // Frame and checksum every record outside the lock; slot offsets are
+  // relative to the start of the batch until the append position is known.
+  std::vector<uint8_t> buf;
+  buf.reserve(total);
+  std::vector<std::vector<SlotLocation>> locations(images.size());
+  for (size_t i = 0; i < images.size(); ++i) {
+    const BucketImage& image = images[i];
+    const size_t start = buf.size();
+    buf.push_back(kRecordWrite);
+    PutU32(buf, image.bucket);
+    PutU32(buf, image.version);
+    PutU32(buf, static_cast<uint32_t>(image.slots.size()));
+    locations[i].reserve(image.slots.size());
+    for (const Bytes& s : image.slots) {
+      PutU32(buf, static_cast<uint32_t>(s.size()));
+      locations[i].push_back({buf.size(), static_cast<uint32_t>(s.size())});
+      buf.insert(buf.end(), s.begin(), s.end());
+    }
+    SealRecord(buf, start);
+  }
   std::lock_guard<std::mutex> lk(mu_);
   if (!open_status_.ok()) {
     return open_status_;
   }
-  OBLADI_RETURN_IF_ERROR(AppendRecord(record));
-  VersionIndex& versions = buckets_[bucket];
-  versions.erase(versions.begin(), versions.lower_bound(keep_from_version));
+  const uint64_t base = end_offset_;
+  OBLADI_RETURN_IF_ERROR(AppendLocked(buf));
+  for (size_t i = 0; i < images.size(); ++i) {
+    for (SlotLocation& loc : locations[i]) {
+      loc.offset += base;
+    }
+    // Overwrite = replay; within a batch the later image wins, as on reopen.
+    buckets_[images[i].bucket][images[i].version] = std::move(locations[i]);
+  }
+  return Status::Ok();
+}
+
+Status FileBucketStore::TruncateBucketsBatch(const std::vector<TruncateRef>& refs) {
+  for (const TruncateRef& ref : refs) {
+    if (ref.bucket >= num_buckets_) {
+      return Status::InvalidArgument("bucket out of range");
+    }
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  if (!open_status_.ok()) {
+    return open_status_;
+  }
+  // Log only truncates that drop a version. Skipping the rest is exact: the
+  // index is the replay of the file so far, so at this point of a reopen
+  // scan a skipped record would have dropped nothing either.
+  std::vector<uint8_t> buf;
+  std::vector<const TruncateRef*> logged;
+  for (const TruncateRef& ref : refs) {
+    const VersionIndex& versions = buckets_[ref.bucket];
+    if (versions.empty() || versions.begin()->first >= ref.keep_from_version) {
+      continue;
+    }
+    const size_t start = buf.size();
+    buf.push_back(kRecordTruncate);
+    PutU32(buf, ref.bucket);
+    PutU32(buf, ref.keep_from_version);
+    SealRecord(buf, start);
+    logged.push_back(&ref);
+  }
+  if (logged.empty()) {
+    return Status::Ok();
+  }
+  OBLADI_RETURN_IF_ERROR(AppendLocked(buf));
+  for (const TruncateRef* ref : logged) {
+    VersionIndex& versions = buckets_[ref->bucket];
+    versions.erase(versions.begin(), versions.lower_bound(ref->keep_from_version));
+  }
   return Status::Ok();
 }
 

@@ -1,14 +1,23 @@
 // File-backed BucketStore: a single append-only file of bucket-image and
 // truncate records plus an in-memory offset index rebuilt by scanning on
 // open. Shadow paging maps naturally onto an append-only layout — every
-// WriteBucket is a new record, reads pread() straight from the indexed
+// bucket write is a new record, reads pread() straight from the indexed
 // offset, and reopening the same path after a storage-node restart recovers
 // exactly the versions that reached the file (a torn tail from a mid-write
 // crash is cut off, mirroring FileLogStore's tolerant scan).
 //
-// TruncateBucket drops versions from the index and logs a truncate record so
-// the drop survives reopen; file space is not reclaimed (the nemesis and
-// conformance workloads are bounded, and compaction is a non-goal here).
+// The batched forms are the real entry points; the unary calls are
+// one-element batches. A batch is validated up front (one bad entry fails it
+// with nothing appended), takes the index lock once, and reaches the file as
+// one pwrite (plus one fsync with `sync_writes`): bucket records are framed
+// and checksummed outside the lock, slot reads resolve their offsets under
+// it and pread outside it.
+//
+// Truncation drops versions from the index and logs a truncate record so
+// the drop survives reopen. A truncate that would drop nothing is not logged:
+// the reopen scan rebuilds the index record by record, so at that point of
+// the scan it would drop nothing either. File space is still not reclaimed
+// (compaction is a non-goal here), so the file grows with every write.
 //
 // File format v2 stamps a magic+version header on fresh files and appends a
 // CRC32 after every record, so the open-time scan can distinguish a *torn*
@@ -42,6 +51,9 @@ class FileBucketStore : public BucketStore {
   StatusOr<Bytes> ReadSlot(BucketIndex bucket, uint32_t version, SlotIndex slot) override;
   Status WriteBucket(BucketIndex bucket, uint32_t version, std::vector<Bytes> slots) override;
   Status TruncateBucket(BucketIndex bucket, uint32_t keep_from_version) override;
+  std::vector<StatusOr<Bytes>> ReadSlotsBatch(const std::vector<SlotRef>& refs) override;
+  Status WriteBucketsBatch(std::vector<BucketImage> images) override;
+  Status TruncateBucketsBatch(const std::vector<TruncateRef>& refs) override;
   size_t num_buckets() const override { return num_buckets_; }
 
   // Test hooks.
@@ -59,8 +71,12 @@ class FileBucketStore : public BucketStore {
   using VersionIndex = std::map<uint32_t, std::vector<SlotLocation>>;
 
   Status ScanFile();
-  // Appends the record's CRC trailer (v2 files) and writes it out.
-  Status AppendRecord(std::vector<uint8_t>& record);
+  // Appends the CRC trailer (v2 files) of the record that starts at
+  // `record_start` in `buf`.
+  void SealRecord(std::vector<uint8_t>& buf, size_t record_start) const;
+  // Writes `buf` at the append position (and fsyncs with sync_writes_).
+  // Caller holds mu_; end_offset_ advances only on success.
+  Status AppendLocked(const std::vector<uint8_t>& buf);
 
   const std::string path_;
   const size_t num_buckets_;
@@ -68,6 +84,8 @@ class FileBucketStore : public BucketStore {
   const bool sync_writes_;
 
   mutable std::mutex mu_;
+  // fd_, open_status_ and file_version_ are set by the constructor only, so
+  // record framing may read file_version_ outside mu_.
   int fd_ = -1;
   Status open_status_;        // non-OK when the file could not be opened/scanned
   uint64_t end_offset_ = 0;   // append position (file size after tail repair)

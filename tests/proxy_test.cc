@@ -352,6 +352,70 @@ TEST(ObladiStorePipelineTest, CloseWaitsForPreviousRetirementDepthOne) {
   EXPECT_EQ(stats.epochs, 2u);
 }
 
+TEST(ObladiStorePipelineTest, CommitInsideACloseIsDecidedByTheNextEpoch) {
+  // A transaction that begins after a close's EndEpoch and commits while that
+  // close is still running belongs to the next epoch. Its decision must come
+  // from the epoch that commits it, not ride the closing epoch's retirement
+  // (which would release it as "aborted" while the next epoch commits it).
+  auto env = MakeProxy(256, /*recovery=*/false);
+  env.config.pipeline_depth = 1;
+  env.proxy = std::make_unique<ObladiStore>(env.config, env.store, env.log);
+  ASSERT_TRUE(env.proxy->Load(SimpleRecords(20)).ok());
+
+  std::promise<void> release;
+  std::shared_future<void> release_fut = release.get_future().share();
+  std::atomic<int> hook_calls{0};
+  env.proxy->SetRetireHookForTest([&] {
+    if (hook_calls.fetch_add(1) == 0) {
+      release_fut.wait();
+    }
+  });
+  ASSERT_TRUE(env.proxy->CloseEpochNow().ok());  // epoch 1 retiring (held)
+
+  // Epoch 2's EndEpoch aborts this unfinished transaction, which marks the
+  // moment it ran; the close then stalls on the depth-1 retirement slot.
+  (void)env.proxy->Begin();
+  const uint64_t aborts_before = env.proxy->txn_stats().aborts_unfinished_epoch;
+  std::thread closer([&] { EXPECT_TRUE(env.proxy->CloseEpochNow().ok()); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool ended = false;
+  while (!(ended = env.proxy->txn_stats().aborts_unfinished_epoch > aborts_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (!ended) {
+    release.set_value();
+    closer.join();
+    FAIL() << "epoch 2's close never reached EndEpoch";
+  }
+
+  Timestamp t = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t, "key4", "written-during-close").ok());
+  auto decision = env.proxy->CommitAsync(t);
+  release.set_value();
+  closer.join();
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
+  ASSERT_TRUE(env.proxy->DrainRetirement().ok());
+  EXPECT_EQ(decision->wait_for(std::chrono::seconds(0)), std::future_status::timeout)
+      << "epoch 2 released a decision for an epoch-3 transaction: "
+      << decision->get().ToString();
+
+  ASSERT_TRUE(env.proxy->FinishEpochNow().ok());  // epoch 3 commits it
+  Status st = decision->get();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  RunWithPacing(*env.proxy, [&] {
+    Status read = RunTransaction(*env.proxy, [&](Txn& txn) -> Status {
+      auto v = txn.Read("key4");
+      if (!v.ok()) {
+        return v.status();
+      }
+      EXPECT_EQ(*v, "written-during-close");
+      return Status::Ok();
+    });
+    EXPECT_TRUE(read.ok()) << read.ToString();
+  });
+}
+
 TEST(ObladiStorePipelineTest, CommittedWritesServeFromVersionCacheNextEpoch) {
   // The epoch's final writes become next-epoch base versions, so a read of a
   // just-committed key is a cache hit even while its write-back retires.

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/crc32.h"
 #include "src/shard/shard_store_view.h"
 #include "src/storage/file_bucket_store.h"
 #include "src/storage/file_log_store.h"
@@ -379,6 +381,229 @@ TEST(FileBucketStoreTest, IgnoresTornTailRecord) {
   auto after = reopened.ReadSlot(2, 9, 0);
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ((*after)[0], 0x78);
+  std::remove(path.c_str());
+}
+
+// --- FileBucketStore batched forms: one lock hold and one append per batch.
+
+std::string FreshPath(const std::string& name) {
+  std::string path = testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+std::vector<uint8_t> FileContents(const std::string& path) {
+  std::vector<uint8_t> data;
+  FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return data;
+  }
+  uint8_t buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    data.insert(data.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return data;
+}
+
+TEST(FileBucketStoreTest, BatchedSequenceMatchesUnarySequence) {
+  // The same mixed history of writes and truncates, issued once as batches
+  // and once one call at a time, must reopen to the same index and bytes.
+  const std::string batched_path = FreshPath("obladi_fbs_batched.dat");
+  const std::string unary_path = FreshPath("obladi_fbs_unary.dat");
+  auto image = [](BucketIndex b, uint32_t v) {
+    return BucketImage{b, v, MakeBucket(2, static_cast<uint8_t>(16 * b + v))};
+  };
+  const std::vector<std::vector<BucketImage>> write_rounds = {
+      {image(0, 0), image(1, 0), image(2, 0), image(3, 0)},
+      {image(0, 1), image(2, 1), image(2, 2)},
+      {image(1, 1), image(3, 1), image(3, 2)},
+  };
+  const std::vector<std::vector<TruncateRef>> truncate_rounds = {
+      {{0, 1}, {1, 0}, {2, 5}, {3, 0}},  // mixes real drops and no-ops
+      {{0, 1}, {2, 2}, {3, 1}},
+      {{1, 1}, {3, 2}, {2, 2}},
+  };
+  {
+    FileBucketStore batched(batched_path, 8, 2);
+    FileBucketStore unary(unary_path, 8, 2);
+    for (size_t round = 0; round < write_rounds.size(); ++round) {
+      ASSERT_TRUE(batched.WriteBucketsBatch(write_rounds[round]).ok());
+      ASSERT_TRUE(batched.TruncateBucketsBatch(truncate_rounds[round]).ok());
+      for (const BucketImage& img : write_rounds[round]) {
+        ASSERT_TRUE(unary.WriteBucket(img.bucket, img.version, img.slots).ok());
+      }
+      for (const TruncateRef& ref : truncate_rounds[round]) {
+        ASSERT_TRUE(unary.TruncateBucket(ref.bucket, ref.keep_from_version).ok());
+      }
+    }
+    EXPECT_EQ(batched.TotalVersions(), unary.TotalVersions());
+  }
+  FileBucketStore batched(batched_path, 8, 2);
+  FileBucketStore unary(unary_path, 8, 2);
+  EXPECT_EQ(batched.TotalVersions(), unary.TotalVersions());
+  EXPECT_EQ(batched.TotalVersions(), 4u);
+  // One append per batch, same records: the files are byte-identical.
+  EXPECT_EQ(FileContents(batched_path), FileContents(unary_path));
+  std::vector<SlotRef> refs;
+  for (BucketIndex b = 0; b < 4; ++b) {
+    for (uint32_t v = 0; v < 3; ++v) {
+      for (SlotIndex s = 0; s < 2; ++s) {
+        refs.push_back({b, v, s});
+      }
+    }
+  }
+  auto from_batched = batched.ReadSlotsBatch(refs);
+  ASSERT_EQ(from_batched.size(), refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    auto from_unary = unary.ReadSlot(refs[i].bucket, refs[i].version, refs[i].slot);
+    ASSERT_EQ(from_batched[i].ok(), from_unary.ok()) << "ref " << i;
+    if (from_unary.ok()) {
+      EXPECT_EQ(*from_batched[i], *from_unary) << "ref " << i;
+    } else {
+      EXPECT_EQ(from_batched[i].status().code(), StatusCode::kNotFound);
+    }
+  }
+  std::remove(batched_path.c_str());
+  std::remove(unary_path.c_str());
+}
+
+TEST(FileBucketStoreTest, BatchedWritesKeepTheRecordFormat) {
+  // Pin the on-disk bytes: header, then per record type | bucket | version |
+  // slot count | (len | bytes)... | CRC32 of the record.
+  const std::string path = FreshPath("obladi_fbs_format.dat");
+  {
+    FileBucketStore store(path, 8, 1);
+    ASSERT_TRUE(store.WriteBucketsBatch({BucketImage{2, 7, {Bytes{0xab, 0xcd}}},
+                                         BucketImage{5, 1, {Bytes{0x01}}}})
+                    .ok());
+    ASSERT_TRUE(store.TruncateBucketsBatch({{2, 8}, {5, 0}}).ok());  // second is a no-op
+  }
+  std::vector<uint8_t> want = {'O', 'B', 'K', 'T', 2, 0, 0, 0};
+  auto record = [&](std::vector<uint8_t> body) {
+    uint32_t crc = Crc32(body.data(), body.size());
+    want.insert(want.end(), body.begin(), body.end());
+    for (int i = 0; i < 4; ++i) {
+      want.push_back(static_cast<uint8_t>(crc >> (8 * i)));
+    }
+  };
+  record({1, 2, 0, 0, 0, 7, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0xab, 0xcd});
+  record({1, 5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0x01});
+  record({2, 2, 0, 0, 0, 8, 0, 0, 0});
+  EXPECT_EQ(FileContents(path), want);
+  std::remove(path.c_str());
+}
+
+TEST(FileBucketStoreTest, NoOpTruncateBatchAppendsNothing) {
+  const std::string path = FreshPath("obladi_fbs_noop_truncate.dat");
+  FileBucketStore store(path, 8, 2);
+  ASSERT_TRUE(store.WriteBucket(1, 3, MakeBucket(2, 0x31)).ok());
+  ASSERT_TRUE(store.WriteBucket(4, 0, MakeBucket(2, 0x40)).ok());
+  const uint64_t bytes = store.FileBytes();
+  // Floors at or below every live version, and buckets never written.
+  ASSERT_TRUE(store.TruncateBucketsBatch({{1, 3}, {1, 0}, {4, 0}, {0, 9}, {7, 2}}).ok());
+  EXPECT_EQ(store.FileBytes(), bytes);
+  EXPECT_EQ(store.TotalVersions(), 2u);
+  ASSERT_TRUE(store.TruncateBucket(1, 2).ok());
+  EXPECT_EQ(store.FileBytes(), bytes);
+  // A real drop still logs, and survives reopen.
+  ASSERT_TRUE(store.TruncateBucketsBatch({{1, 4}, {4, 0}}).ok());
+  EXPECT_GT(store.FileBytes(), bytes);
+  FileBucketStore reopened(path, 8, 2);
+  EXPECT_EQ(reopened.TotalVersions(), 1u);
+  EXPECT_EQ(reopened.ReadSlot(1, 3, 0).status().code(), StatusCode::kNotFound);
+  std::remove(path.c_str());
+}
+
+TEST(FileBucketStoreTest, TornLastRecordOfABatchIsRepaired) {
+  const std::string path = FreshPath("obladi_fbs_torn_batch.dat");
+  uint64_t batch_start = 0;
+  uint64_t batch_end = 0;
+  {
+    FileBucketStore store(path, 8, 2);
+    ASSERT_TRUE(store.WriteBucket(6, 0, MakeBucket(2, 0x60)).ok());
+    batch_start = store.FileBytes();
+    ASSERT_TRUE(store.WriteBucketsBatch({BucketImage{0, 1, MakeBucket(2, 0x01)},
+                                         BucketImage{1, 1, MakeBucket(2, 0x11)},
+                                         BucketImage{2, 1, MakeBucket(2, 0x21)}})
+                    .ok());
+    batch_end = store.FileBytes();
+  }
+  // Every record of the batch is the same size; cut the last one mid-slot,
+  // as a crash in the middle of the single append would.
+  const uint64_t record = (batch_end - batch_start) / 3;
+  const uint64_t last_start = batch_end - record;
+  ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(last_start + record / 2)), 0);
+
+  FileBucketStore store(path, 8, 2);
+  EXPECT_EQ(store.FileBytes(), last_start);  // the torn record was cut off
+  EXPECT_EQ((*store.ReadSlot(6, 0, 1))[0], 0x60);
+  EXPECT_EQ((*store.ReadSlot(0, 1, 0))[0], 0x01);
+  EXPECT_EQ((*store.ReadSlot(1, 1, 1))[0], 0x11);
+  EXPECT_EQ(store.ReadSlot(2, 1, 0).status().code(), StatusCode::kNotFound);
+  // Appends continue cleanly from the repaired tail.
+  ASSERT_TRUE(store.WriteBucketsBatch({BucketImage{2, 1, MakeBucket(2, 0x22)}}).ok());
+  FileBucketStore reopened(path, 8, 2);
+  EXPECT_EQ(reopened.TotalVersions(), 4u);
+  EXPECT_EQ((*reopened.ReadSlot(2, 1, 1))[0], 0x22);
+  std::remove(path.c_str());
+}
+
+TEST(FileBucketStoreTest, BatchedAppendsToLegacyV1FileKeepV1Framing) {
+  const std::string path = FreshPath("obladi_fbs_v1_batch.dat");
+  {
+    // One v1 write record (no header, no CRC): bucket 0, version 0, 2 slots.
+    FILE* f = std::fopen(path.c_str(), "wb");
+    uint8_t head[13] = {1, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0};
+    std::fwrite(head, 1, sizeof(head), f);
+    for (int s = 0; s < 2; ++s) {
+      uint8_t slot[12] = {8, 0, 0, 0, 0x77, 0x77, 0x77, 0x77, 0x77, 0x77, 0x77, 0x77};
+      std::fwrite(slot, 1, sizeof(slot), f);
+    }
+    std::fclose(f);
+  }
+  {
+    FileBucketStore store(path, 8, 2);
+    ASSERT_EQ(store.FileFormatVersion(), 1u);
+    const uint64_t before = store.FileBytes();
+    ASSERT_TRUE(store.WriteBucketsBatch({BucketImage{0, 1, MakeBucket(2, 0x42)},
+                                         BucketImage{3, 0, MakeBucket(2, 0x43)}})
+                    .ok());
+    // v1 write records carry no CRC trailer: 13 + 2 * (4 + 8) bytes each.
+    EXPECT_EQ(store.FileBytes() - before, 2u * 37u);
+    ASSERT_TRUE(store.TruncateBucketsBatch({{0, 1}, {3, 0}}).ok());
+    EXPECT_EQ(store.FileBytes() - before, 2u * 37u + 9u);  // one 9-byte truncate
+  }
+  FileBucketStore reopened(path, 8, 2);
+  EXPECT_EQ(reopened.FileFormatVersion(), 1u);
+  EXPECT_EQ(reopened.TotalVersions(), 2u);
+  EXPECT_EQ(reopened.ReadSlot(0, 0, 0).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*reopened.ReadSlot(0, 1, 1))[0], 0x42);
+  EXPECT_EQ((*reopened.ReadSlot(3, 0, 0))[0], 0x43);
+  std::remove(path.c_str());
+}
+
+TEST(FileBucketStoreTest, InvalidEntryFailsTheWholeBatchUnwritten) {
+  const std::string path = FreshPath("obladi_fbs_invalid_batch.dat");
+  FileBucketStore store(path, 8, 2);
+  ASSERT_TRUE(store.WriteBucket(1, 0, MakeBucket(2, 0x10)).ok());
+  const uint64_t bytes = store.FileBytes();
+
+  Status st = store.WriteBucketsBatch({BucketImage{2, 0, MakeBucket(2, 0x20)},
+                                       BucketImage{8, 0, MakeBucket(2, 0x80)},
+                                       BucketImage{3, 0, MakeBucket(2, 0x30)}});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  st = store.WriteBucketsBatch({BucketImage{2, 0, MakeBucket(2, 0x20)},
+                                BucketImage{3, 0, MakeBucket(3, 0x30)}});  // wrong slot count
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  st = store.TruncateBucketsBatch({{1, 5}, {99, 0}});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(store.FileBytes(), bytes);
+  EXPECT_EQ(store.TotalVersions(), 1u);
+  EXPECT_EQ(store.ReadSlot(2, 0, 0).status().code(), StatusCode::kNotFound);
+  EXPECT_TRUE(store.ReadSlot(1, 0, 0).ok());  // the truncate's valid ref did not run
   std::remove(path.c_str());
 }
 
