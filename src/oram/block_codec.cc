@@ -22,7 +22,9 @@ Bytes BlockCodec::EncodeBlock(BlockId id, Leaf leaf, const Bytes& payload) const
   header.PutU32(leaf);
   std::memcpy(out.data(), header.bytes().data(), header.size());
   size_t n = payload.size() < payload_size_ ? payload.size() : payload_size_;
-  std::memcpy(out.data() + 12, payload.data(), n);
+  if (n > 0) {  // an empty payload's data() may be null
+    std::memcpy(out.data() + 12, payload.data(), n);
+  }
   return out;
 }
 

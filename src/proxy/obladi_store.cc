@@ -829,22 +829,31 @@ Status ObladiStore::CloseEpochNow() {
       return id.ok() ? oram_->router().ShardOf(*id) : 0;
     };
   }
-  // The waiters of exactly the transactions EndEpoch decides leave
-  // commit_waiters_ in the same critical section. A transaction that begins
-  // after EndEpoch and commits while this close is still running belongs to
-  // the next epoch: its waiter must not ride this epoch's retirement, which
-  // would release it as "aborted" although the next EndEpoch commits it.
+  // EndEpoch and the opening of the next epoch share one critical section.
+  // Every transaction live after EndEpoch belongs to the next epoch:
+  // - its commit waiter must not ride this epoch's retirement, which would
+  //   release it as "aborted" although the next EndEpoch commits it, so the
+  //   decided epoch's waiters leave commit_waiters_ here;
+  // - its reads queue into the next epoch's first batch, dispatched once
+  //   this close returns, instead of finding every batch dispatched and
+  //   aborting, or spinning on a completed fetch whose base EndEpoch has
+  //   just cleared from the version cache.
   // Lock order: mu_, then the engine lock.
   EpochOutcome outcome;
   std::unordered_map<Timestamp, std::shared_ptr<std::promise<Status>>> waiters;
+  uint64_t first_dispatch_us;
   {
     std::lock_guard<std::mutex> lk(mu_);
     outcome = engine_.EndEpoch(admission);
     waiters.swap(commit_waiters_);
+    first_dispatch_us = epoch_first_dispatch_us_;
+    ResetEpochBatchesLocked();
+    inflight_fetches_.clear();
   }
   // From here on the epoch's transactions are already decided (EndEpoch
   // cleared them), so any failure must resolve their commit waiters — in
-  // manual mode nobody else ever will.
+  // manual mode nobody else ever will — and the reads already queued into
+  // the next epoch's batches (FailAllWaiters).
   auto fail_epoch = [this, &waiters](Status st) -> Status {
     std::lock_guard<std::mutex> lk(mu_);
     for (auto& [ts, waiter] : waiters) {
@@ -875,11 +884,6 @@ Status ObladiStore::CloseEpochNow() {
   // Depth-D pipeline: wait for a free retirement slot — at most
   // pipeline_depth closed epochs may be in flight, capping live state at
   // depth + 1 epochs' worth.
-  uint64_t first_dispatch_us;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    first_dispatch_us = epoch_first_dispatch_us_;
-  }
   uint64_t stall_us = 0;
   bool overlapped = false;
   Status idle_st = AwaitRetireSlot(cfg_.pipeline_depth, first_dispatch_us, &stall_us,
@@ -926,8 +930,6 @@ Status ObladiStore::CloseEpochNow() {
   size_t inflight = oram_->InflightBlocks();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    ResetEpochBatchesLocked();
-    inflight_fetches_.clear();
     stats_.epochs++;
     if (overlapped) {
       stats_.epochs_overlapped++;

@@ -32,11 +32,15 @@
 //
 //   close (CloseEpochNow, serialized with batch dispatch):
 //     dispatch remaining read batches -> EndEpoch (commit admission; the
-//     final writes are re-installed as next-epoch base versions) ->
-//     ORAM WriteBatch -> wait for a free retirement slot (fewer than
+//     final writes are re-installed as next-epoch base versions) and, in the
+//     same critical section, open the next epoch's read batches -> ORAM
+//     WriteBatch -> wait for a free retirement slot (fewer than
 //     pipeline_depth epochs in flight) -> BeginRetire (submit the write-back
-//     without waiting) -> capture the delta checkpoint payload -> open the
-//     next epoch.
+//     without waiting) -> capture the delta checkpoint payload.
+//     Reads of next-epoch transactions that arrive during the rest of the
+//     close queue into its first batch, which goes out once the close
+//     returns. Reads of the closing epoch's transactions that arrive after
+//     its last batch went out are still refused (the batch-full abort).
 //
 //   retirement (one background worker draining a FIFO of closed epochs):
 //     await write-back durability -> append + sync the captured checkpoint,

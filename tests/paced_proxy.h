@@ -7,12 +7,28 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 
 #include "src/proxy/obladi_store.h"
 
 namespace obladi {
+
+// Polls `done` every millisecond until it holds or `timeout` passes; returns
+// whether it held. Tests wait on observable state this way, never on a sleep
+// that is merely long enough.
+inline bool PollUntil(const std::function<bool()>& done,
+                      std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 // Retry with backoff: with manual pacing, an epoch's read batches are all
 // dispatched for most of each FinishEpochNow call, so instant retries can

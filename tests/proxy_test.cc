@@ -6,6 +6,7 @@
 #include "src/common/rng.h"
 #include "src/proxy/obladi_store.h"
 #include "src/storage/memory_store.h"
+#include "tests/paced_proxy.h"
 
 namespace obladi {
 namespace {
@@ -245,7 +246,8 @@ TEST(ObladiStoreTest, ReadBatchOverflowAbortsTransaction) {
   Timestamp tc = proxy.Begin();
   std::thread f1([&] { (void)proxy.Read(ta, "key1"); });
   std::thread f2([&] { (void)proxy.Read(tb, "key2"); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(PollUntil([&] { return proxy.stats().oram_fetches == 2; }))
+      << "the first two reads never queued their fetches";
   // Both slots taken: this fetch fails immediately with an abort.
   auto v = proxy.Read(tc, "key3");
   EXPECT_EQ(v.status().code(), StatusCode::kAborted);
@@ -352,59 +354,83 @@ TEST(ObladiStorePipelineTest, CloseWaitsForPreviousRetirementDepthOne) {
   EXPECT_EQ(stats.epochs, 2u);
 }
 
+// A depth-1 proxy whose first retirement is held: once epoch 1 has closed,
+// epoch 2's close runs its EndEpoch and then parks on the retirement slot
+// until Release(). This opens the window between a close's EndEpoch and its
+// return, in which epoch 3 is already running.
+class ParkedClose {
+ public:
+  ParkedClose() : env_(MakeProxy(256, /*recovery=*/false)) {
+    env_.config.pipeline_depth = 1;
+    env_.proxy = std::make_unique<ObladiStore>(env_.config, env_.store, env_.log);
+    std::shared_future<void> released = release_.get_future().share();
+    auto calls = std::make_shared<std::atomic<int>>(0);
+    env_.proxy->SetRetireHookForTest([released, calls] {
+      if (calls->fetch_add(1) == 0) {
+        released.wait();
+      }
+    });
+  }
+  ~ParkedClose() { Release(); }
+
+  ObladiStore& proxy() { return *env_.proxy; }
+
+  // Starts epoch 2's close on a thread and returns once that close has run
+  // EndEpoch. Call it after closing epoch 1.
+  bool Park() {
+    // EndEpoch aborts this unfinished transaction, which marks the moment it
+    // ran; the close then stalls on the depth-1 retirement slot.
+    (void)proxy().Begin();
+    const uint64_t aborts_before = proxy().txn_stats().aborts_unfinished_epoch;
+    closer_ = std::thread([this] { EXPECT_TRUE(proxy().CloseEpochNow().ok()); });
+    return PollUntil(
+        [&] { return proxy().txn_stats().aborts_unfinished_epoch > aborts_before; });
+  }
+
+  // Lets the parked close finish and waits for it.
+  void Release() {
+    if (!released_) {
+      released_ = true;
+      release_.set_value();
+    }
+    if (closer_.joinable()) {
+      closer_.join();
+    }
+  }
+
+ private:
+  ProxyEnv env_;
+  std::promise<void> release_;
+  bool released_ = false;
+  std::thread closer_;
+};
+
 TEST(ObladiStorePipelineTest, CommitInsideACloseIsDecidedByTheNextEpoch) {
   // A transaction that begins after a close's EndEpoch and commits while that
   // close is still running belongs to the next epoch. Its decision must come
   // from the epoch that commits it, not ride the closing epoch's retirement
   // (which would release it as "aborted" while the next epoch commits it).
-  auto env = MakeProxy(256, /*recovery=*/false);
-  env.config.pipeline_depth = 1;
-  env.proxy = std::make_unique<ObladiStore>(env.config, env.store, env.log);
-  ASSERT_TRUE(env.proxy->Load(SimpleRecords(20)).ok());
+  ParkedClose parked;
+  ObladiStore& proxy = parked.proxy();
+  ASSERT_TRUE(proxy.Load(SimpleRecords(20)).ok());
+  ASSERT_TRUE(proxy.CloseEpochNow().ok());  // epoch 1 retiring (held)
+  ASSERT_TRUE(parked.Park()) << "epoch 2's close never reached EndEpoch";
 
-  std::promise<void> release;
-  std::shared_future<void> release_fut = release.get_future().share();
-  std::atomic<int> hook_calls{0};
-  env.proxy->SetRetireHookForTest([&] {
-    if (hook_calls.fetch_add(1) == 0) {
-      release_fut.wait();
-    }
-  });
-  ASSERT_TRUE(env.proxy->CloseEpochNow().ok());  // epoch 1 retiring (held)
-
-  // Epoch 2's EndEpoch aborts this unfinished transaction, which marks the
-  // moment it ran; the close then stalls on the depth-1 retirement slot.
-  (void)env.proxy->Begin();
-  const uint64_t aborts_before = env.proxy->txn_stats().aborts_unfinished_epoch;
-  std::thread closer([&] { EXPECT_TRUE(env.proxy->CloseEpochNow().ok()); });
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  bool ended = false;
-  while (!(ended = env.proxy->txn_stats().aborts_unfinished_epoch > aborts_before) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (!ended) {
-    release.set_value();
-    closer.join();
-    FAIL() << "epoch 2's close never reached EndEpoch";
-  }
-
-  Timestamp t = env.proxy->Begin();
-  ASSERT_TRUE(env.proxy->Write(t, "key4", "written-during-close").ok());
-  auto decision = env.proxy->CommitAsync(t);
-  release.set_value();
-  closer.join();
+  Timestamp t = proxy.Begin();
+  ASSERT_TRUE(proxy.Write(t, "key4", "written-during-close").ok());
+  auto decision = proxy.CommitAsync(t);
+  parked.Release();
   ASSERT_TRUE(decision.ok()) << decision.status().ToString();
-  ASSERT_TRUE(env.proxy->DrainRetirement().ok());
+  ASSERT_TRUE(proxy.DrainRetirement().ok());
   EXPECT_EQ(decision->wait_for(std::chrono::seconds(0)), std::future_status::timeout)
       << "epoch 2 released a decision for an epoch-3 transaction: "
       << decision->get().ToString();
 
-  ASSERT_TRUE(env.proxy->FinishEpochNow().ok());  // epoch 3 commits it
+  ASSERT_TRUE(proxy.FinishEpochNow().ok());  // epoch 3 commits it
   Status st = decision->get();
   EXPECT_TRUE(st.ok()) << st.ToString();
-  RunWithPacing(*env.proxy, [&] {
-    Status read = RunTransaction(*env.proxy, [&](Txn& txn) -> Status {
+  RunWithPacing(proxy, [&] {
+    Status read = RunTransaction(proxy, [&](Txn& txn) -> Status {
       auto v = txn.Read("key4");
       if (!v.ok()) {
         return v.status();
@@ -414,6 +440,80 @@ TEST(ObladiStorePipelineTest, CommitInsideACloseIsDecidedByTheNextEpoch) {
     });
     EXPECT_TRUE(read.ok()) << read.ToString();
   });
+}
+
+TEST(ObladiStorePipelineTest, ReadInsideACloseQueuesForTheNextEpoch) {
+  // After a close's EndEpoch, the next epoch's read batches are open: a read
+  // that misses the version cache while the close is still running queues
+  // into the next epoch's first batch instead of being refused.
+  ParkedClose parked;
+  ObladiStore& proxy = parked.proxy();
+  ASSERT_TRUE(proxy.Load(SimpleRecords(20)).ok());
+  ASSERT_TRUE(proxy.CloseEpochNow().ok());  // epoch 1 retiring (held)
+  ASSERT_TRUE(parked.Park()) << "epoch 2's close never reached EndEpoch";
+
+  const ObladiStats before = proxy.stats();
+  std::atomic<bool> returned{false};
+  StatusOr<std::string> value = Status::Internal("read never ran");
+  std::thread reader([&] {
+    Timestamp t = proxy.Begin();
+    value = proxy.Read(t, "key9");
+    returned.store(true);
+    proxy.Abort(t);
+  });
+  const bool queued =
+      PollUntil([&] { return proxy.stats().oram_fetches == before.oram_fetches + 1; });
+  EXPECT_TRUE(queued) << "the read did not queue a fetch while the close ran";
+  EXPECT_FALSE(returned.load()) << "the read returned before any batch could serve it";
+
+  parked.Release();
+  ASSERT_TRUE(proxy.StepReadBatch().ok());
+  reader.join();
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, "value9");
+  EXPECT_EQ(proxy.stats().batch_overflow_aborts, before.batch_overflow_aborts);
+}
+
+TEST(ObladiStorePipelineTest, ReadInsideACloseDoesNotReuseACompletedFetch) {
+  // A key fetched earlier in the closing epoch leaves a completed fetch
+  // behind, while EndEpoch clears its base from the version cache. A
+  // next-epoch read of that key during the close must queue a new fetch, not
+  // spin deduplicating against the old one.
+  ParkedClose parked;
+  ObladiStore& proxy = parked.proxy();
+  ASSERT_TRUE(proxy.Load(SimpleRecords(20)).ok());
+  ASSERT_TRUE(proxy.CloseEpochNow().ok());  // epoch 1 retiring (held)
+
+  // Epoch 2 fetches key3 through its first batch.
+  std::thread early_reader([&] {
+    Timestamp t = proxy.Begin();
+    auto v = proxy.Read(t, "key3");
+    EXPECT_TRUE(v.ok()) << v.status().ToString();
+    proxy.Abort(t);
+  });
+  ASSERT_TRUE(PollUntil([&] { return proxy.stats().oram_fetches == 1; }));
+  ASSERT_TRUE(proxy.StepReadBatch().ok());
+  early_reader.join();
+  ASSERT_TRUE(parked.Park()) << "epoch 2's close never reached EndEpoch";
+
+  const ObladiStats before = proxy.stats();
+  StatusOr<std::string> value = Status::Internal("read never ran");
+  std::thread reader([&] {
+    Timestamp t = proxy.Begin();
+    value = proxy.Read(t, "key3");
+    proxy.Abort(t);
+  });
+  auto queued = [&] { return proxy.stats().oram_fetches == before.oram_fetches + 1; };
+  EXPECT_TRUE(PollUntil(queued)) << "key3 was not queued as a new fetch";
+  EXPECT_EQ(proxy.stats().fetch_dedups, before.fetch_dedups)
+      << "the read spun on epoch 2's completed fetch";
+
+  parked.Release();
+  ASSERT_TRUE(PollUntil(queued));  // the batch below must carry the fetch
+  ASSERT_TRUE(proxy.StepReadBatch().ok());
+  reader.join();
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, "value3");
 }
 
 TEST(ObladiStorePipelineTest, CommittedWritesServeFromVersionCacheNextEpoch) {

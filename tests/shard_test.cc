@@ -496,7 +496,8 @@ TEST(ShardedProxyTest, ShardQuotaOverflowAbortsTransaction) {
   Timestamp ta = env.proxy->Begin();
   Timestamp tb = env.proxy->Begin();
   std::thread f1([&] { (void)env.proxy->Read(ta, "key0"); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_TRUE(PollUntil([&] { return env.proxy->stats().oram_fetches == 1; }))
+      << "the first read never queued its fetch";
   auto v = env.proxy->Read(tb, "key4");
   EXPECT_EQ(v.status().code(), StatusCode::kAborted);
   ASSERT_TRUE(env.proxy->FinishEpochNow().ok());
