@@ -1,9 +1,10 @@
-// Substrate micro-benchmarks (google-benchmark): crypto primitives, codecs,
-// RNGs, MVTSO operations, and single ORAM accesses. These are the building
-// blocks whose costs explain the figure-level results (e.g. why the dummy
-// backend is crypto/CPU-bound).
+// Substrate micro-benchmarks (google-benchmark): crypto primitives, the
+// record checksum, codecs, RNGs, MVTSO operations, and single ORAM accesses.
+// These are the building blocks whose costs explain the figure-level results
+// (e.g. why the dummy backend is crypto/CPU-bound).
 #include <benchmark/benchmark.h>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/crypto/chacha20.h"
@@ -48,7 +49,19 @@ void BM_ChaCha20(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_ChaCha20)->Arg(268)->Arg(1024)->Arg(65536);
+// 140 B is one slot plaintext (12-byte header + 128-byte payload).
+BENCHMARK(BM_ChaCha20)->Arg(140)->Arg(268)->Arg(1024)->Arg(65536);
+
+void BM_Crc32(benchmark::State& state) {
+  Bytes data(static_cast<size_t>(state.range(0)), 0x5a);
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(data, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(17)->Arg(4096)->Arg(65536);
 
 void BM_EncryptorRoundTrip(benchmark::State& state) {
   Encryptor enc = Encryptor::FromMasterKey(BytesFromString("k"), state.range(1) != 0, 1);

@@ -3,11 +3,8 @@
 #ifndef OBLADI_SRC_CRYPTO_CHACHA20_H_
 #define OBLADI_SRC_CRYPTO_CHACHA20_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-
-#include "src/common/types.h"
 
 namespace obladi {
 
@@ -25,11 +22,18 @@ class ChaCha20 {
   void Keystream(uint8_t* out, size_t len);
 
  private:
-  void NextBlock();
+  // Keystream is generated three 64-byte blocks at a time: a slot plaintext
+  // (12-byte header + 128-byte payload) needs exactly three.
+  static constexpr size_t kBlocksPerRefill = 3;
+  static constexpr size_t kBufferSize = 64 * kBlocksPerRefill;
+
+  // Fills buffer_ with blocks counter, counter+1, counter+2 (mod 2^32) and
+  // advances the counter by three.
+  void Refill();
 
   uint32_t state_[16];
-  uint8_t block_[64];
-  size_t block_pos_ = 64;  // forces generation on first use
+  uint8_t buffer_[kBufferSize];
+  size_t buffer_pos_ = kBufferSize;  // forces generation on first use
 };
 
 }  // namespace obladi

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "src/common/crc32.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
@@ -73,6 +74,55 @@ TEST(StatusOrTest, ValueAndError) {
   StatusOr<int> e = Status::Aborted("conflict");
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kAborted);
+}
+
+TEST(Crc32Test, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+// Bit-at-a-time CRC-32 with the same reflected polynomial and seed chaining:
+// the reference the table-driven kernel must match.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(32);
+  std::vector<uint8_t> buf(8 + 64);
+  for (auto& b : buf) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      uint32_t seed = static_cast<uint32_t>(rng.NextU64());
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
+          << "offset " << offset << " len " << len << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAcrossSplits) {
+  Rng rng(33);
+  std::vector<uint8_t> whole(300);
+  for (auto& b : whole) {
+    b = static_cast<uint8_t>(rng.NextU64());
+  }
+  const uint32_t expected = Crc32(whole);
+  for (size_t split = 0; split <= whole.size(); ++split) {
+    std::vector<uint8_t> a(whole.begin(), whole.begin() + split);
+    std::vector<uint8_t> b(whole.begin() + split, whole.end());
+    ASSERT_EQ(Crc32(b, Crc32(a)), expected) << "split " << split;
+  }
 }
 
 TEST(RngTest, DeterministicPerSeed) {

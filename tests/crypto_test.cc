@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "src/crypto/chacha20.h"
 #include "src/crypto/csprng.h"
 #include "src/crypto/encryptor.h"
@@ -119,11 +122,136 @@ TEST(ChaCha20Test, Rfc7539Encryption) {
   Bytes data(plaintext.begin(), plaintext.end());
   ChaCha20 cipher(key, nonce, /*counter=*/1);
   cipher.Crypt(data.data(), data.size());
-  EXPECT_EQ(HexOf(data.data(), 16), "6e2e359a2568f98041ba0728dd0d6981");
+  ASSERT_EQ(data.size(), 114u);
+  EXPECT_EQ(HexOf(data.data(), data.size()),
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
+            "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
+            "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
+            "5af90bbf74a35be6b40b8eedf2785e42874d");
   // Decryption = encryption.
   ChaCha20 cipher2(key, nonce, 1);
   cipher2.Crypt(data.data(), data.size());
   EXPECT_EQ(std::string(data.begin(), data.end()), plaintext);
+}
+
+// Scalar RFC 7539 §2.3 block function, one block per call: the reference the
+// multi-block ChaCha20 must match byte for byte.
+void ReferenceBlock(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
+                    uint8_t out[64]) {
+  auto load = [](const uint8_t* p) {
+    return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+  };
+  auto rotl = [](uint32_t x, int n) { return (x << n) | (x >> (32 - n)); };
+  auto qr = [&](uint32_t& a, uint32_t& b, uint32_t& c, uint32_t& d) {
+    a += b, d = rotl(d ^ a, 16);
+    c += d, b = rotl(b ^ c, 12);
+    a += b, d = rotl(d ^ a, 8);
+    c += d, b = rotl(b ^ c, 7);
+  };
+  uint32_t s[16] = {0x61707865, 0x3320646e, 0x79622d32, 0x6b206574};
+  for (int i = 0; i < 8; ++i) {
+    s[4 + i] = load(key + 4 * i);
+  }
+  s[12] = counter;
+  for (int i = 0; i < 3; ++i) {
+    s[13 + i] = load(nonce + 4 * i);
+  }
+  uint32_t x[16];
+  std::copy(s, s + 16, x);
+  for (int round = 0; round < 10; ++round) {
+    qr(x[0], x[4], x[8], x[12]);
+    qr(x[1], x[5], x[9], x[13]);
+    qr(x[2], x[6], x[10], x[14]);
+    qr(x[3], x[7], x[11], x[15]);
+    qr(x[0], x[5], x[10], x[15]);
+    qr(x[1], x[6], x[11], x[12]);
+    qr(x[2], x[7], x[8], x[13]);
+    qr(x[3], x[4], x[9], x[14]);
+  }
+  for (int i = 0; i < 16; ++i) {
+    uint32_t v = x[i] + s[i];
+    for (int k = 0; k < 4; ++k) {
+      out[4 * i + k] = static_cast<uint8_t>(v >> (8 * k));
+    }
+  }
+}
+
+// The reference keystream of `len` bytes starting at block `counter`; the
+// counter wraps mod 2^32 and never carries into the nonce.
+Bytes ReferenceKeystream(const uint8_t key[32], const uint8_t nonce[12], uint32_t counter,
+                         size_t len) {
+  Bytes out;
+  uint8_t block[64];
+  while (out.size() < len) {
+    ReferenceBlock(key, nonce, counter++, block);
+    out.insert(out.end(), block, block + std::min<size_t>(64, len - out.size()));
+  }
+  return out;
+}
+
+TEST(ChaCha20Test, ReferenceBlockMatchesRfc7539Section232) {
+  uint8_t key[32];
+  for (int i = 0; i < 32; ++i) {
+    key[i] = static_cast<uint8_t>(i);
+  }
+  uint8_t nonce[12] = {0, 0, 0, 0x09, 0, 0, 0, 0x4a, 0, 0, 0, 0};
+  uint8_t block[64];
+  ReferenceBlock(key, nonce, 1, block);
+  EXPECT_EQ(HexOf(block, 64),
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e");
+  ChaCha20 cipher(key, nonce, 1);
+  Bytes ks(64);
+  cipher.Keystream(ks.data(), ks.size());
+  EXPECT_EQ(Bytes(block, block + 64), ks);
+}
+
+// Random keys, nonces and lengths, consumed as random sequences of Crypt and
+// Keystream calls whose chunks straddle the cipher's internal buffer; the
+// counters near 2^32 wrap inside one refill.
+TEST(ChaCha20Test, MatchesScalarReferenceAcrossChunkingAndCounterWrap) {
+  std::mt19937_64 rng(20181008);
+  const uint32_t kCounters[] = {0, 1, 0xFFFFFFFDu, 0xFFFFFFFEu, 0xFFFFFFFFu};
+  // 6 and 601 are coprime, so the trials cover every (counter, length) pair:
+  // the five fixed counters plus a random one, each at every length 0–600.
+  for (int trial = 0; trial < 6 * 601; ++trial) {
+    uint8_t key[32];
+    uint8_t nonce[12];
+    for (auto& b : key) {
+      b = static_cast<uint8_t>(rng());
+    }
+    for (auto& b : nonce) {
+      b = static_cast<uint8_t>(rng());
+    }
+    uint32_t counter = trial % 6 < 5 ? kCounters[trial % 6] : static_cast<uint32_t>(rng());
+    size_t len = trial % 601;
+    Bytes plaintext(len);
+    for (auto& b : plaintext) {
+      b = static_cast<uint8_t>(rng());
+    }
+    Bytes expected_ks = ReferenceKeystream(key, nonce, counter, len);
+
+    ChaCha20 cipher(key, nonce, counter);
+    Bytes got = plaintext;
+    Bytes expected = plaintext;
+    size_t pos = 0;
+    while (pos < len) {
+      size_t chunk = std::min<size_t>(len - pos, rng() % 260);
+      if (rng() & 1) {
+        cipher.Crypt(got.data() + pos, chunk);
+        for (size_t i = pos; i < pos + chunk; ++i) {
+          expected[i] ^= expected_ks[i];
+        }
+      } else {
+        cipher.Keystream(got.data() + pos, chunk);
+        std::copy(expected_ks.begin() + pos, expected_ks.begin() + pos + chunk,
+                  expected.begin() + pos);
+      }
+      pos += chunk;
+    }
+    ASSERT_EQ(got, expected) << "trial " << trial << " counter " << counter << " len " << len;
+  }
 }
 
 TEST(CsprngTest, DeterministicForSameSeed) {

@@ -204,21 +204,17 @@ TEST(RecoveryTest, CrashDuringRetirementRecoversLastDurableEpoch) {
     }
   });
 
-  // Epoch N: a client writes key1 and waits for the (never-arriving)
-  // decision.
-  std::atomic<bool> writer_done{false};
-  Status writer_status;
-  std::thread writer([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key1", "doomed-B").ok());
-    writer_status = env.proxy->Commit(t);
-    writer_done.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // Epoch N: a client writes key1 and requests the commit; the decision
+  // never arrives.
+  Timestamp t = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t, "key1", "doomed-B").ok());
+  auto decision = env.proxy->CommitAsync(t);
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
 
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
   hook_entered.get_future().wait();  // epoch N parked before checkpoint append
-  EXPECT_FALSE(writer_done.load()) << "decision released before the epoch was durable";
+  EXPECT_NE(decision->wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "decision released before the epoch was durable";
 
   // Epoch N+1 dispatches: the recovery unit's ordering gate holds its plan
   // record out of the log while N's checkpoint is pending, so the dispatch
@@ -232,9 +228,8 @@ TEST(RecoveryTest, CrashDuringRetirementRecoversLastDurableEpoch) {
   release.set_value();
   crasher.join();
   dispatcher.join();
-  writer.join();
   EXPECT_FALSE(dispatch_status.ok()) << "epoch N+1's dispatch survived the crash";
-  EXPECT_FALSE(writer_status.ok()) << "epoch N's commit decision survived the crash";
+  EXPECT_FALSE(decision->get().ok()) << "epoch N's commit decision survived the crash";
 
   RecoveryBreakdown breakdown;
   ASSERT_TRUE(env.proxy->RecoverFromCrash(&breakdown).ok());
@@ -263,15 +258,15 @@ TEST(RecoveryTest, CrashAfterRetirementDurableKeepsEpoch) {
   auto env = MakeEnv();
   ASSERT_TRUE(env.proxy->Load(SimpleRecords(20)).ok());
 
-  std::thread writer([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key3", "retired-durably").ok());
-    EXPECT_TRUE(env.proxy->Commit(t).ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timestamp t = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t, "key3", "retired-durably").ok());
+  auto decision = env.proxy->CommitAsync(t);
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
   ASSERT_TRUE(env.proxy->DrainRetirement().ok());
-  writer.join();
+  ASSERT_EQ(decision->wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "decision still pending after the epoch's retirement drained";
+  EXPECT_TRUE(decision->get().ok());
 
   env.proxy->SimulateCrash();
   ASSERT_TRUE(env.proxy->RecoverFromCrash().ok());
