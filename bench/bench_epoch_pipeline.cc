@@ -1,26 +1,22 @@
-// Epoch pipelining: serial vs. overlapped epoch changes over the remote
-// async store, against a storage node with 1 ms service time.
+// Epoch pipelining: depth-D overlapped epoch changes over the remote async
+// store, against a storage node with 1 ms service time.
 //
-// The serial proxy (pipeline_epochs=false) stops the world at every epoch
-// boundary: flush all shards' deferred write-back, append + sync the delta
-// checkpoint, truncate stale versions — all network-bound — before admitting
-// the next epoch's work. The pipelined proxy closes the epoch, hands that
-// whole tail to the background retirement stage, and immediately starts
-// dispatching epoch N+1's batches; commit decisions release asynchronously
-// once N's checkpoint is durable (fate sharing preserved). Epoch cadence is
-// then R*Δ instead of R*Δ + retirement time, so throughput improves by
-// exactly the fraction of the epoch the serial design spends blocked on
-// storage latency.
+// The proxy closes each epoch, hands its network-bound tail (flush the
+// shards' deferred write-back, append + sync the delta checkpoint, truncate
+// stale versions) to the background retirement stage, and immediately
+// starts dispatching epoch N+1's batches; commit decisions release
+// asynchronously once N's checkpoint is durable (fate sharing preserved).
 //
 // Topology per cell: loopback StorageServer whose bucket and log backends
 // sit behind 1 ms latency decorators (the storage node's service time), the
 // proxy connecting through RemoteBucketStore/RemoteLogStore (async
 // multiplexed client). K ∈ {1, 4} shards.
 //
-// Depth sweep: the pipelined cells run at pipeline_depth D ∈ {1, 2, 3}.
-// Depth 1 admits one retiring epoch — the close stalls whenever the
-// retirement tail (write-back wave + checkpoint append/sync + truncate)
-// outlasts one epoch of paced batches. Depth 2 keeps a second epoch's tail
+// Depth sweep: the cells run at pipeline_depth D ∈ {1, 2, 3}, and depth 1
+// is the baseline the deeper cells are measured against. Depth 1 admits one
+// retiring epoch — the close stalls whenever the retirement tail
+// (write-back wave + checkpoint append/sync + truncate) outlasts one epoch
+// of paced batches. Depth 2 keeps a second epoch's tail
 // in flight behind the first, so the cadence stays R*Δ until the tail
 // exceeds TWO epochs; depth 3 shows the diminishing return past that. Δ is
 // sized so the tail genuinely overruns one epoch at this node latency —
@@ -46,7 +42,6 @@ constexpr uint64_t kServiceTimeUs = 1000;
 
 struct CellResult {
   uint32_t shards = 0;
-  bool pipelined = false;
   size_t depth = 1;
   double tps = 0;
   double epochs_per_sec = 0;
@@ -57,7 +52,7 @@ struct CellResult {
   uint64_t stash_stalls = 0;
 };
 
-ObladiConfig MakeConfig(uint32_t shards, bool pipelined, size_t depth) {
+ObladiConfig MakeConfig(uint32_t shards, size_t depth) {
   ObladiConfig config = ObladiConfig::ForCapacity(512, /*z=*/4, /*payload=*/128);
   config.num_shards = shards;
   config.read_batches_per_epoch = 2;
@@ -74,27 +69,17 @@ ObladiConfig MakeConfig(uint32_t shards, bool pipelined, size_t depth) {
   config.batch_interval_us = 3000;
   config.timed_mode = true;
   config.pipeline_depth = depth;
-  // The serial baseline is the pre-pipelining proxy end to end: stop-the-
-  // world retirement, the write batch's schedule movement (and its eviction
-  // read wave) at the close, and the old log layout (one plan record per
-  // shard sub-batch, K serialized appends per batch). Pipelined runs the
-  // full two-stage state machine: combined per-batch plan records, write
-  // schedule riding the paced batches, background retirement.
-  config.pipeline_epochs = pipelined;
-  config.combine_batch_plan_logs = pipelined;
   config.recovery.enabled = true;  // the checkpoint append is part of the tail
   config.oram_options.io_threads = 8;
   return config;
 }
 
-CellResult RunCell(uint32_t shards, bool pipelined, size_t depth, double seconds,
-                   size_t num_clients) {
+CellResult RunCell(uint32_t shards, size_t depth, double seconds, size_t num_clients) {
   CellResult cell;
   cell.shards = shards;
-  cell.pipelined = pipelined;
   cell.depth = depth;
 
-  ObladiConfig config = MakeConfig(shards, pipelined, depth);
+  ObladiConfig config = MakeConfig(shards, depth);
   LatencyProfile node{"node1ms", kServiceTimeUs, kServiceTimeUs, 0};
   auto buckets = std::make_shared<MemoryBucketStore>(
       config.StoreBuckets(), config.MakeLayout().shard_config.slots_per_bucket());
@@ -216,13 +201,11 @@ CellResult RunCell(uint32_t shards, bool pipelined, size_t depth, double seconds
   return cell;
 }
 
-void EmitJson(const std::vector<CellResult>& cells, double k1_speedup, double k4_speedup,
-              double d2_vs_d1_k1, double d2_vs_d1_k4) {
+void EmitJson(const std::vector<CellResult>& cells, double d2_vs_d1_k1, double d2_vs_d1_k4) {
   Json cell_array = Json::Array();
   for (const CellResult& c : cells) {
     cell_array.Push(Json::Object()
                         .Set("shards", Json::Int(c.shards))
-                        .Set("pipelined", Json::Bool(c.pipelined))
                         .Set("pipeline_depth", Json::Int(c.depth))
                         .Set("txn_per_sec", Json::Num(c.tps, 1))
                         .Set("epochs_per_sec", Json::Num(c.epochs_per_sec, 1))
@@ -236,57 +219,46 @@ void EmitJson(const std::vector<CellResult>& cells, double k1_speedup, double k4
                   .Set("bench", Json::Str("epoch_pipeline"))
                   .Set("service_time_us", Json::Int(kServiceTimeUs))
                   .Set("cells", std::move(cell_array))
-                  .Set("k1_speedup", Json::Num(k1_speedup, 2))
-                  .Set("k4_speedup", Json::Num(k4_speedup, 2))
                   .Set("depth2_vs_depth1_k1", Json::Num(d2_vs_d1_k1, 2))
                   .Set("depth2_vs_depth1_k4", Json::Num(d2_vs_d1_k4, 2));
   if (WriteBenchJson("BENCH_epoch_pipeline.json", root)) {
-    std::printf("pipelined(d2) vs serial: %.2fx at K=1, %.2fx at K=4; "
-                "depth2 vs depth1: %.2fx at K=1, %.2fx at K=4\n",
-                k1_speedup, k4_speedup, d2_vs_d1_k1, d2_vs_d1_k4);
+    std::printf("depth2 vs depth1: %.2fx at K=1, %.2fx at K=4\n", d2_vs_d1_k1, d2_vs_d1_k4);
   }
 }
 
 void Run() {
   double seconds = BenchSeconds() * (BenchFull() ? 4.0 : 2.0);
   // Saturating load (~2x the epoch's read capacity): commit decisions arrive
-  // one retirement later under pipelining, so per-client latency cannot be
-  // allowed to bound throughput — with the batch slots contended in both
-  // modes, txn/s = batch capacity x epoch rate, which is what the pipeline
-  // improves.
+  // one retirement later, so per-client latency cannot be allowed to bound
+  // throughput — with the batch slots contended at every depth, txn/s =
+  // batch capacity x epoch rate, which is what a deeper pipeline improves.
   size_t num_clients = 24;
 
-  Table table("Epoch pipelining — serial vs depth-D overlapped epoch changes "
+  Table table("Epoch pipelining — depth-D overlapped epoch changes "
               "(remote async store, 1 ms node, Δ=3ms, R=2)");
-  table.Columns({"shards", "mode", "depth", "txn/s", "epochs/s", "ovl%", "stall_ms",
-                 "max_stash", "early"});
+  table.Columns({"shards", "depth", "txn/s", "epochs/s", "ovl%", "stall_ms", "max_stash",
+                 "early"});
 
   std::vector<CellResult> cells;
-  // tps[shards][depth]; depth 0 holds the serial baseline.
-  double tps[5][4] = {{0}};
+  double tps[5][4] = {{0}};  // tps[shards][depth]
   for (uint32_t shards : {1u, 4u}) {
-    for (size_t depth : {size_t{0}, size_t{1}, size_t{2}, size_t{3}}) {
-      bool pipelined = depth != 0;
-      CellResult c = RunCell(shards, pipelined, pipelined ? depth : 1, seconds,
-                             num_clients);
+    for (size_t depth : {size_t{1}, size_t{2}, size_t{3}}) {
+      CellResult c = RunCell(shards, depth, seconds, num_clients);
       cells.push_back(c);
       tps[shards][depth] = c.tps;
-      table.Row({FmtInt(shards), pipelined ? "pipelined" : "serial",
-                 pipelined ? FmtInt(depth) : "-",
-                 FmtInt(static_cast<uint64_t>(c.tps)), Fmt(c.epochs_per_sec, 1),
-                 Fmt(100.0 * c.overlapped_frac, 0) + "%", Fmt(c.stall_ms, 1),
-                 FmtInt(c.max_inflight_stash), FmtInt(c.sched_overlapped)});
+      table.Row({FmtInt(shards), FmtInt(depth), FmtInt(static_cast<uint64_t>(c.tps)),
+                 Fmt(c.epochs_per_sec, 1), Fmt(100.0 * c.overlapped_frac, 0) + "%",
+                 Fmt(c.stall_ms, 1), FmtInt(c.max_inflight_stash),
+                 FmtInt(c.sched_overlapped)});
     }
   }
   table.Print();
 
-  double k1 = tps[1][0] > 0 ? tps[1][2] / tps[1][0] : 0;
-  double k4 = tps[4][0] > 0 ? tps[4][2] / tps[4][0] : 0;
   double d2d1_k1 = tps[1][1] > 0 ? tps[1][2] / tps[1][1] : 0;
   double d2d1_k4 = tps[4][1] > 0 ? tps[4][2] / tps[4][1] : 0;
   std::printf("depth 1 re-serializes on the retirement tail once it outlasts one epoch; "
               "depth 2 keeps a second tail in flight so the cadence stays R*Δ.\n");
-  EmitJson(cells, k1, k4, d2d1_k1, d2d1_k4);
+  EmitJson(cells, d2d1_k1, d2d1_k4);
 }
 
 }  // namespace

@@ -8,23 +8,17 @@
 // exactly the batch factor (one round trip per batch), which is the property
 // the decorators assume when they charge one latency per batched request.
 //
-// Part 2 — connection-pool sweep: fixed thread count hammering unary reads
-// through blocking NetClient pools of growing size. Pool slots are the real
-// analogue of the decorators' "N outstanding requests overlap when issued
-// from N threads"; throughput should scale with the pool until the
-// loopback/CPU saturates.
-//
-// Part 3 — async multiplexing sweep: ONE event-loop thread and ONE
+// Part 2 — async multiplexing sweep: ONE event-loop thread and ONE
 // connection, with outstanding ∈ {1, 16, 64, 256} requests in flight
-// against the same 1 ms storage node. 64 outstanding should match or beat
-// the 16-thread blocking pool — overlap without a thread per RPC. Also
-// measures an epoch's batched-GC round trips (must equal the shard count).
+// against a storage node with 1 ms service time — overlap without a thread
+// per RPC. Also measures an epoch's batched-GC round trips (must equal the
+// shard count).
 // Emits machine-readable BENCH_net_async.json for the perf trajectory.
 //
 // Honors OBLADI_BENCH_FULL=1 for a larger sweep.
 #include <chrono>
 #include <cstdio>
-#include <thread>
+#include <map>
 
 #include "bench/bench_common.h"
 #include "src/net/async_client.h"
@@ -76,7 +70,7 @@ void RunBatchSweep(uint16_t port, bool full) {
       std::make_shared<LatencyBucketStore>(MakeLoadedStore(), LatencyProfile::Dummy());
 
   Table table("Remote storage — batch size sweep (" + FmtInt(total_reads) +
-              " slot reads over loopback, pool=4)");
+              " slot reads over loopback, 1 connection)");
   table.Columns({"batch", "round_trips", "rt_predicted", "MB_read", "MB_predicted",
                  "MB_wire_down", "MB_wire_pred", "wall_ms", "reads/s", "rt_cut_vs_unary"});
 
@@ -84,7 +78,6 @@ void RunBatchSweep(uint16_t port, bool full) {
   for (size_t batch : batch_sizes) {
     RemoteStoreOptions opts;
     opts.port = port;
-    opts.pool_size = 4;
     auto remote = RemoteBucketStore::Connect(opts);
     if (!remote.ok()) {
       std::fprintf(stderr, "connect failed: %s\n", remote.status().ToString().c_str());
@@ -134,73 +127,15 @@ void RunBatchSweep(uint16_t port, bool full) {
               "frames + length prefixes — next to the latency decorator's model of it.)\n");
 }
 
-// The pool sweep runs against a server whose backend charges a 1 ms
-// per-request service time (a latency decorator *behind* the socket): with
-// storage that slow, overlapping outstanding requests — the connection
-// pool's job — is the only lever, so throughput tracks pool size until it
-// matches the thread count. Against a zero-latency memory backend the sweep
-// would be flat: loopback syscall cost dominates and one connection already
-// saturates it. (1 ms also keeps the decorator in its true-sleep regime
-// rather than its sub-500us spin-wait, which would serialize on small
-// hosts.) Returns reads/s per pool size for the JSON trajectory.
-std::map<size_t, double> RunPoolSweep(uint16_t port, bool full) {
-  size_t reads_per_thread = full ? 512 : 128;
-  constexpr size_t kThreads = 16;
-  std::vector<size_t> pool_sizes = {1, 2, 4, 8, 16};
-  std::map<size_t, double> reads_per_sec;
-
-  Table table("Remote storage — blocking pool sweep (" + FmtInt(kThreads) +
-              " threads x " + FmtInt(reads_per_thread) +
-              " unary reads, 1ms backend service time)");
-  table.Columns({"pool", "wall_ms", "reads/s", "speedup_vs_pool1"});
-
-  double pool1_ms = 0;
-  for (size_t pool : pool_sizes) {
-    RemoteStoreOptions opts;
-    opts.port = port;
-    opts.pool_size = pool;
-    auto client = NetClient::Connect(opts);
-    if (!client.ok()) {
-      std::fprintf(stderr, "connect failed: %s\n", client.status().ToString().c_str());
-      return reads_per_sec;
-    }
-    auto start = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    for (size_t t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        Rng rng(0x9000 + t);
-        for (size_t i = 0; i < reads_per_thread; ++i) {
-          NetRequest req;
-          req.type = MsgType::kReadSlots;
-          req.reads = {{static_cast<BucketIndex>(rng.NextU64() % kNumBuckets), 0,
-                        static_cast<SlotIndex>(rng.NextU64() % kSlotsPerBucket)}};
-          auto result = (*client)->Call(std::move(req));
-          if (!result.ok() || !result->ToStatus().ok()) {
-            std::fprintf(stderr, "read failed\n");
-            return;
-          }
-        }
-      });
-    }
-    for (auto& t : threads) {
-      t.join();
-    }
-    double wall_ms = MillisSince(start);
-    if (pool == 1) {
-      pool1_ms = wall_ms;
-    }
-    uint64_t total = kThreads * reads_per_thread;
-    reads_per_sec[pool] = 1000.0 * static_cast<double>(total) / wall_ms;
-    table.Row({FmtInt(pool), Fmt(wall_ms), FmtInt(static_cast<uint64_t>(reads_per_sec[pool])),
-               Fmt(pool1_ms / wall_ms, 2) + "x"});
-  }
-  table.Print();
-  return reads_per_sec;
-}
-
 // One event-loop thread, one socket, `outstanding` requests kept in flight
 // via a completion queue: every drained completion immediately funds the
-// next submission. No client thread ever blocks on a response.
+// next submission. No client thread ever blocks on a response. The server's
+// backend charges a 1 ms per-request service time (a latency decorator
+// *behind* the socket): with storage that slow, overlapping outstanding
+// requests is the only lever. Against a zero-latency memory backend the
+// sweep would be flat — loopback syscall cost dominates. (1 ms also keeps
+// the decorator in its true-sleep regime rather than its sub-500us
+// spin-wait, which would serialize on small hosts.)
 std::map<size_t, double> RunAsyncSweep(uint16_t port, bool full) {
   double seconds = BenchSeconds() * (full ? 1.0 : 0.5);
   std::vector<size_t> outstanding_sweep = {1, 16, 64, 256};
@@ -274,43 +209,32 @@ std::map<size_t, double> RunAsyncSweep(uint16_t port, bool full) {
                Fmt(serial_rps > 0 ? reads_per_sec[outstanding] / serial_rps : 0.0, 1) + "x"});
   }
   table.Print();
-  std::printf("(one thread drives all outstanding requests; compare reads/s against the "
-              "16-thread pool above.)\n");
+  std::printf("(one thread drives all outstanding requests.)\n");
   return reads_per_sec;
 }
 
-void EmitJson(const std::map<size_t, double>& async_rps, const std::map<size_t, double>& pool_rps,
-              const GcProbeResult& gc) {
+void EmitJson(const std::map<size_t, double>& async_rps, const GcProbeResult& gc) {
   double serial = async_rps.count(1) ? async_rps.at(1) : 0;
   double async64 = async_rps.count(64) ? async_rps.at(64) : 0;
-  double pool16 = pool_rps.count(16) ? pool_rps.at(16) : 0;
   Json async_sweep = Json::Array();
   for (const auto& [outstanding, rps] : async_rps) {
     async_sweep.Push(Json::Object()
                          .Set("outstanding", Json::Int(outstanding))
                          .Set("reads_per_sec", Json::Num(rps, 1)));
   }
-  Json pool_sweep = Json::Array();
-  for (const auto& [pool, rps] : pool_rps) {
-    pool_sweep.Push(
-        Json::Object().Set("pool", Json::Int(pool)).Set("reads_per_sec", Json::Num(rps, 1)));
-  }
   Json root = Json::Object()
                   .Set("bench", Json::Str("net_async"))
                   .Set("service_time_us", Json::Int(1000))
                   .Set("async_sweep", std::move(async_sweep))
-                  .Set("pool_sweep", std::move(pool_sweep))
                   .Set("serial_reads_per_sec", Json::Num(serial, 1))
-                  .Set("pool16_reads_per_sec", Json::Num(pool16, 1))
                   .Set("async64_reads_per_sec", Json::Num(async64, 1))
                   .Set("async64_vs_serial", Json::Num(serial > 0 ? async64 / serial : 0, 2))
-                  .Set("async64_vs_pool16", Json::Num(pool16 > 0 ? async64 / pool16 : 0, 2))
                   .Set("gc_shards", Json::Int(gc.shards))
                   .Set("gc_round_trips", Json::Int(gc.round_trips))
                   .Set("gc_buckets", Json::Int(gc.buckets));
   if (WriteBenchJson("BENCH_net_async.json", root)) {
-    std::printf("async64 %.0f reads/s = %.1fx serial, %.2fx pool16\n", async64,
-                serial > 0 ? async64 / serial : 0, pool16 > 0 ? async64 / pool16 : 0);
+    std::printf("async64 %.0f reads/s = %.1fx serial\n", async64,
+                serial > 0 ? async64 / serial : 0);
   }
 }
 
@@ -332,7 +256,7 @@ void Run() {
 
   RunBatchSweep(server.port(), full);
 
-  // Separate storage node for the overlap sweeps: same data, 1 ms service
+  // Separate storage node for the overlap sweep: same data, 1 ms service
   // time, provisioned wide enough that 64+ multiplexed requests from one
   // connection can all be in the backend simultaneously.
   LatencyProfile slow_profile{"slow", 1000, 1000, 0};
@@ -345,7 +269,6 @@ void Run() {
     std::fprintf(stderr, "slow server start failed: %s\n", st.ToString().c_str());
     return;
   }
-  auto pool_rps = RunPoolSweep(slow_server.port(), full);
   auto async_rps = RunAsyncSweep(slow_server.port(), full);
   // Epoch GC over the wire (shared probe with net_test): round trips must
   // equal the shard count, not the bucket count.
@@ -353,7 +276,7 @@ void Run() {
   std::printf("epoch GC over the wire: %llu round trips for %u shards (%u buckets)%s\n",
               static_cast<unsigned long long>(gc.round_trips), gc.shards, gc.buckets,
               gc.ok ? "" : "  [probe FAILED]");
-  EmitJson(async_rps, pool_rps, gc);
+  EmitJson(async_rps, gc);
 
   std::printf("\nbatch-sweep server: %llu requests, %.2f MB in, %.2f MB out\n",
               static_cast<unsigned long long>(server.stats().requests_served.load()),

@@ -64,7 +64,6 @@ StatusOr<NemesisResult> RunNemesis(const NemesisOptions& options) {
   config.write_batch_size = 160;
   config.batch_interval_us = 300;
   config.timed_mode = true;
-  config.pipeline_epochs = true;
   config.pipeline_depth = options.pipeline_depth;
   config.recovery.enabled = true;
   config.recovery.full_checkpoint_interval = 4;
@@ -84,7 +83,6 @@ StatusOr<NemesisResult> RunNemesis(const NemesisOptions& options) {
   const size_t slots_per_bucket = layout.shard_config.slots_per_bucket();
 
   RemoteStoreOptions remote_opts;
-  remote_opts.pool_size = 8;
   if (per_shard_mode) {
     // Hardened transport: the partition scenario's whole point is that
     // blocked requests expire within the deadline budget instead of hanging,

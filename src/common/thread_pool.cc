@@ -24,10 +24,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Enqueue(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(fn));
-  }
+  // Notify under the lock: the task may run, and its completion may let the
+  // owner destroy this pool, before an unlocked notify would touch cv_.
+  std::lock_guard<std::mutex> lk(mu_);
+  queue_.push_back(std::move(fn));
   cv_.notify_one();
 }
 

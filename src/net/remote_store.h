@@ -11,11 +11,6 @@
 // The stores answer SupportsAsyncBatches() and implement the *Async entry
 // points as true submissions, which is what the parallel ORAM keys off.
 //
-// NetClient, the original blocking connection pool (one checked-out
-// connection per in-flight RPC, overlap capped at pool_size), is kept as
-// the measured baseline: bench_net_storage races the two designs against
-// the same 1 ms storage node.
-//
 // Failure model: a lost connection fails every RPC pending on it fast; the
 // synchronous entry points then redial and retry once — except LogAppend,
 // which stays at-most-once (the server may have appended before dying; a
@@ -26,15 +21,11 @@
 #ifndef OBLADI_SRC_NET_REMOTE_STORE_H_
 #define OBLADI_SRC_NET_REMOTE_STORE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/net/async_client.h"
-#include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/storage/bucket_store.h"
 #include "src/storage/latency_store.h"
@@ -47,9 +38,6 @@ struct RemoteStoreOptions {
   // Multiplexed sockets for the async client (the remote stores). One
   // connection already carries hundreds of outstanding requests.
   size_t num_connections = 1;
-  // Pool size for the legacy blocking NetClient = max overlapping RPCs
-  // (bench baseline only; the remote stores no longer use it).
-  size_t pool_size = 4;
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Transport hardening knobs, passed through to AsyncClientOptions: 0
   // keeps the historical no-deadline / no-heartbeat behavior.
@@ -70,48 +58,6 @@ struct RemoteStoreOptions {
     opts.retry = retry;
     return opts;
   }
-};
-
-// Blocking thread-per-RPC transport (pre-async design, kept as the measured
-// baseline). Thread-safe; one instance may back several callers.
-class NetClient {
- public:
-  // Verifies the server is reachable with a Ping before returning.
-  static StatusOr<std::shared_ptr<NetClient>> Connect(RemoteStoreOptions options);
-
-  // One RPC: check out a connection, send, await the response, check the
-  // connection back in. Callers beyond pool_size block until a connection
-  // frees up. Transport failures redial once (never for kLogAppend), then
-  // surface Unavailable. Fills `req.id`.
-  StatusOr<NetResponse> Call(NetRequest req);
-
-  NetworkStats& stats() { return stats_; }
-  const RemoteStoreOptions& options() const { return options_; }
-
-  explicit NetClient(RemoteStoreOptions options);
-
- private:
-  struct Conn {
-    TcpSocket sock;
-    bool busy = false;
-    // A slot that connected once and lost its socket counts the next
-    // successful dial as a reconnect (stats().reconnects).
-    bool ever_connected = false;
-  };
-
-  // Blocks until a pool slot frees; returns its index.
-  size_t AcquireConn();
-  void ReleaseConn(size_t index);
-  // One send/recv exchange on connection `index`, dialing it first if dead.
-  StatusOr<NetResponse> Exchange(size_t index, const NetRequest& req, const Bytes& payload);
-
-  RemoteStoreOptions options_;
-  std::atomic<uint64_t> next_id_{1};
-  NetworkStats stats_;
-
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  std::vector<Conn> conns_;
 };
 
 class RemoteBucketStore : public BucketStore {

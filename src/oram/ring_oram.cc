@@ -1293,15 +1293,13 @@ void RingOram::AdvanceWriteSchedule(size_t bumps) {
   // overlapping the next batch's plan logging and answer delivery. These
   // pulls are schedule-derived, never plan-logged, so dispatching them
   // before the next batch's WAL append preserves §8's log-before-read
-  // discipline; replay re-derives them from the same schedule. Without the
-  // scheduler they park until the next batch's dispatch wave, as before.
+  // discipline; replay re-derives them from the same schedule. Outside
+  // parallel + deferred mode they park until the next batch's dispatch wave.
   for (size_t i = 0; i < bumps; ++i) {
     BumpAccessCounter();
   }
-  if (options_.eager_evict_dispatch && options_.parallel && options_.defer_writes &&
-      !pending_reads_.empty()) {
+  if (options_.parallel && options_.defer_writes && !pending_reads_.empty()) {
     OBS_SPAN_ARG("sched", "sched.evict_stage", pending_reads_.size());
-    stats_.eager_evict_dispatches++;
     DispatchPendingReads();
   }
 }

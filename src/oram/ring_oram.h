@@ -107,13 +107,6 @@ struct RingOramOptions {
   // XOR-reconstructed); eviction/reshuffle bucket reads (several real
   // blocks per bucket) stay slot-by-slot.
   bool xor_path_reads = true;
-  // Sub-epoch scheduler: dispatch eviction/early-reshuffle *read phases* as
-  // soon as the schedule emits them (AdvanceWriteSchedule) instead of
-  // parking them until the next batch's dispatch wave. The slots fetched
-  // and the recorded trace are identical — the pulls only move earlier in
-  // time, overlapping the next batch's plan logging (§8's WAL append) and
-  // answer delivery. Requires parallel + defer_writes; inert otherwise.
-  bool eager_evict_dispatch = true;
   // Epoch retirements allowed in flight at once (pipeline depth D).
   // BeginRetire fails when `retire_depth` epochs are already retiring and
   // none has been collected; AwaitRetireDurable/CollectRetired operate on
@@ -135,7 +128,6 @@ struct RingOramStats {
   uint64_t xor_path_reads = 0;         // path reads fetched via kReadPathsXor
   uint64_t stash_cache_skips = 0;      // accesses skipped by cache_all_stash (ablation)
   uint64_t early_results = 0;          // batch answers delivered before batch completion
-  uint64_t eager_evict_dispatches = 0; // eviction read waves dispatched ahead of a batch
   uint64_t flush_plan_us = 0;          // FinishEpoch: planning deferred write phases
   uint64_t materialize_us = 0;         // FinishEpoch: encrypt + write buckets
   uint64_t write_drain_us = 0;         // FinishEpoch: waiting on handed-off writes
@@ -186,8 +178,9 @@ class RingOram {
   // is a fixed count per epoch (padded), independent of the values — so its
   // eviction/reshuffle *read phases* can ride the epoch's paced read
   // batches instead of bunching into one storage wave at the close.
-  // AdvanceWriteSchedule bumps the access counter `bumps` times (emitting
-  // any triggered read phases as pending reads for the next dispatch);
+  // AdvanceWriteSchedule bumps the access counter `bumps` times; in
+  // parallel + deferred mode any triggered read phases dispatch at once
+  // (the sub-epoch scheduler), otherwise they wait for the next dispatch;
   // ApplyWriteValues deposits the decided values with NO schedule movement.
   // Per epoch, Advance totals must equal what WriteBatch would have padded
   // to, or the schedule stops being workload independent.

@@ -33,8 +33,8 @@
 //   close (CloseEpochNow, serialized with batch dispatch):
 //     dispatch remaining read batches -> EndEpoch (commit admission; the
 //     final writes are re-installed as next-epoch base versions) and, in the
-//     same critical section, open the next epoch's read batches -> ORAM
-//     WriteBatch -> wait for a free retirement slot (fewer than
+//     same critical section, open the next epoch's read batches -> deposit
+//     the write batch's values (ApplyWriteValues) -> wait for a free retirement slot (fewer than
 //     pipeline_depth epochs in flight) -> BeginRetire (submit the write-back
 //     without waiting) -> capture the delta checkpoint payload.
 //     Reads of next-epoch transactions that arrive during the rest of the
@@ -116,17 +116,11 @@ struct ObladiConfig {
   size_t write_batch_size = 32;       // b_write (global, across shards)
   uint64_t batch_interval_us = 2000;  // Δ (timed mode)
   bool timed_mode = false;
-  // Overlap epoch N's retirement with epoch N+1's execution (see file
-  // comment). When false the pacer drains each retirement inline — the
-  // serial-epoch baseline bench_epoch_pipeline measures against. Manual-mode
-  // FinishEpochNow always drains, so tests see serial semantics either way.
-  bool pipeline_epochs = true;
+  bool pipeline_epochs = true;  // Ignored; deleted with the next change to bench/e2e.
   // Epoch pipeline depth D: how many closed epochs may be retiring
-  // concurrently (1 = the original close-waits-for-previous behavior; the
-  // compatibility baseline). Depth D bounds live state to D+1 epochs'
-  // working sets and lets the close step proceed while up to D write-backs
-  // ride the network. Clamped to 1 when pipeline_epochs is false (the serial
-  // baseline drains every retirement inline anyway).
+  // concurrently (1 = a close waits for the previous retirement; 0 reads
+  // as 1). Depth D bounds live state to D+1 epochs' working sets and lets
+  // the close step proceed while up to D write-backs ride the network.
   size_t pipeline_depth = 2;
   // Explicit stash budget for the pipeline: while the shards' stash +
   // retiring blocks exceed this, batch dispatch stalls until an in-flight
@@ -134,11 +128,6 @@ struct ObladiConfig {
   // (the depth cap alone bounds memory). Distinct from the per-shard
   // RingOramConfig::max_stash_blocks serialization pad.
   size_t max_stash_blocks = 0;
-  // Log one combined plan record per global batch (K shard sub-plans, one
-  // append + one sync) instead of K separate records. False reproduces the
-  // pre-pipelining log layout, where K serialized log round trips sit on
-  // every batch's critical path (the bench's serial baseline).
-  bool combine_batch_plan_logs = true;
   RecoveryConfig recovery;
   // Graceful degradation: how long an epoch close may wait on the previous
   // retirement before giving up (0 = wait forever, the historical
@@ -241,7 +230,7 @@ class ObladiStore : public TransactionalKv {
   // Block until the retirement stage is idle; returns the first retirement
   // failure (sticky until recovery).
   Status DrainRetirement();
-  // Serial epoch change: CloseEpochNow + DrainRetirement. Manual-mode tests
+  // Draining epoch change: CloseEpochNow + DrainRetirement. Manual-mode tests
   // use this; when it returns, all commit decisions have been released.
   Status FinishEpochNow();
   // Test hook: runs on the retirement worker after the epoch's write-back is

@@ -203,28 +203,6 @@ Status ShardedOramSet::ReadShardDummyBatch(uint32_t shard) {
   return result.ok() ? Status::Ok() : result.status();
 }
 
-Status ShardedOramSet::WriteBatch(const std::vector<std::pair<BlockId, Bytes>>& writes) {
-  const uint32_t k = layout_.num_shards;
-  std::vector<std::vector<std::pair<BlockId, Bytes>>> sub(k);
-  for (const auto& [id, value] : writes) {
-    uint32_t s = router_.ShardOf(id);
-    if (sub[s].size() >= options_.write_quota) {
-      return Status::ResourceExhausted("shard write batch quota exceeded");
-    }
-    sub[s].emplace_back(router_.LocalId(id), value);
-  }
-  // Every shard executes a write batch padded to write_quota — shards with
-  // few (or no) real writes still advance their eviction schedules by the
-  // same amount, keeping the per-shard schedule workload independent.
-  return RunOnShards([&](uint32_t s) {
-    OBLADI_RETURN_IF_ERROR(shards_[s]->WriteBatch(sub[s], options_.write_quota));
-    if (watchdog_ != nullptr) {
-      watchdog_->ObserveShardAdvance(s, options_.write_quota);
-    }
-    return Status::Ok();
-  });
-}
-
 void ShardedOramSet::AdvanceWriteSchedule(size_t per_shard_bumps) {
   Status st = RunOnShards([&](uint32_t s) {
     shards_[s]->AdvanceWriteSchedule(per_shard_bumps);
@@ -418,7 +396,6 @@ RingOramStats ShardedOramSet::stats() const {
     agg.xor_path_reads += st.xor_path_reads;
     agg.stash_cache_skips += st.stash_cache_skips;
     agg.early_results += st.early_results;
-    agg.eager_evict_dispatches += st.eager_evict_dispatches;
     agg.flush_plan_us += st.flush_plan_us;
     agg.materialize_us += st.materialize_us;
     agg.write_drain_us += st.write_drain_us;

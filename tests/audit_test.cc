@@ -421,7 +421,6 @@ TEST_P(AuditHonestRunTest, PipelinedProxyHistoryAuditsClean) {
   config.write_batch_size = 160;
   config.batch_interval_us = 300;
   config.timed_mode = true;
-  config.pipeline_epochs = true;
   config.recovery.enabled = false;
   config.oram_options.io_threads = 8;
 

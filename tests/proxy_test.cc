@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <future>
 #include <map>
 #include <thread>
 
@@ -268,29 +269,27 @@ TEST(ObladiStorePipelineTest, RetirementOverlapsNextEpochExecution) {
   auto env = MakeProxy(256, /*recovery=*/false);
   ASSERT_TRUE(env.proxy->Load(SimpleRecords(30)).ok());
 
+  std::promise<void> hook_entered;
   std::promise<void> release;
   std::shared_future<void> release_fut = release.get_future().share();
   std::atomic<int> hook_calls{0};
   env.proxy->SetRetireHookForTest([&] {
     if (hook_calls.fetch_add(1) == 0) {
+      hook_entered.set_value();
       release_fut.wait();
     }
   });
 
-  std::atomic<bool> committed{false};
-  Status commit_status;
-  std::thread writer([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key1", "pipelined").ok());
-    commit_status = env.proxy->Commit(t);
-    committed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timestamp t = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t, "key1", "pipelined").ok());
+  auto decision = env.proxy->CommitAsync(t);
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
 
   // Close epoch 1: returns immediately, retirement parked in the hook.
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(committed.load()) << "commit decision leaked before the epoch was durable";
+  hook_entered.get_future().wait();
+  EXPECT_NE(decision->wait_for(std::chrono::seconds(0)), std::future_status::ready)
+      << "commit decision leaked before the epoch was durable";
 
   // Epoch 2 executes while epoch 1 retires: an ORAM fetch completes.
   std::atomic<bool> read_done{false};
@@ -308,11 +307,11 @@ TEST(ObladiStorePipelineTest, RetirementOverlapsNextEpochExecution) {
   ASSERT_TRUE(env.proxy->StepReadBatch().ok());
   reader.join();
   EXPECT_TRUE(read_done.load());
-  EXPECT_FALSE(committed.load());
+  EXPECT_NE(decision->wait_for(std::chrono::seconds(0)), std::future_status::ready);
 
   release.set_value();
   ASSERT_TRUE(env.proxy->DrainRetirement().ok());
-  writer.join();
+  Status commit_status = decision->get();
   EXPECT_TRUE(commit_status.ok()) << commit_status.ToString();
   EXPECT_TRUE(env.proxy->FinishEpochNow().ok());
   EXPECT_TRUE(env.proxy->oram()->CheckInvariants().ok());

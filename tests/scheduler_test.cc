@@ -135,14 +135,9 @@ TEST(SchedulerTest, WireRequestMultisetPerEpochIsDepthInvariant) {
   }
 }
 
-TEST(SchedulerTest, DepthZeroAndSerialModeClampToDepthOne) {
+TEST(SchedulerTest, DepthZeroClampsToDepthOne) {
   auto env = MakeSchedEnv(/*pipeline_depth=*/0, /*recovery=*/false);
   EXPECT_EQ(env.proxy->config().pipeline_depth, 1u);
-
-  auto serial = MakeSchedEnv(/*pipeline_depth=*/3, /*recovery=*/false);
-  serial.config.pipeline_epochs = false;
-  serial.proxy = std::make_unique<ObladiStore>(serial.config, serial.store, serial.log);
-  EXPECT_EQ(serial.proxy->config().pipeline_depth, 1u);
 }
 
 TEST(SchedulerTest, EarlyAnswersDeliverCorrectValues) {
@@ -194,12 +189,11 @@ TEST(SchedulerTest, StashBudgetBackpressuresDispatch) {
     }
   });
 
-  std::thread writer([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key1", "stash-filler").ok());
-    (void)env.proxy->Commit(t);  // decision arrives once retirement completes
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timestamp t = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t, "key1", "stash-filler").ok());
+  // The decision arrives once retirement completes.
+  auto decision = env.proxy->CommitAsync(t);
+  ASSERT_TRUE(decision.ok()) << decision.status().ToString();
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
   EXPECT_GT(env.proxy->oram()->InflightBlocks(), 1u)
       << "retiring epoch holds no blocks; the budget has nothing to bound";
@@ -227,7 +221,7 @@ TEST(SchedulerTest, StashBudgetBackpressuresDispatch) {
   release.set_value();
   dispatcher.join();
   reader.join();
-  writer.join();
+  (void)decision->get();
   ASSERT_TRUE(env.proxy->FinishEpochNow().ok());
 
   ObladiStats stats = env.proxy->stats();
@@ -257,35 +251,27 @@ TEST(SchedulerTest, CrashWithTwoRetiringEpochsReplaysBothInOrder) {
   });
 
   // Epoch N writes key1; its commit decision never arrives.
-  Status w1_status;
-  std::thread writer1([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key1", "doomed-B").ok());
-    w1_status = env.proxy->Commit(t);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timestamp t1 = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t1, "key1", "doomed-B").ok());
+  auto w1_decision = env.proxy->CommitAsync(t1);
+  ASSERT_TRUE(w1_decision.ok()) << w1_decision.status().ToString();
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
   hook_entered.get_future().wait();  // N parked before its checkpoint append
 
   // Epoch N+1 writes key2 and closes too: at depth 2 the close takes the
   // second retirement slot instead of waiting for N.
-  Status w2_status;
-  std::thread writer2([&] {
-    Timestamp t = env.proxy->Begin();
-    ASSERT_TRUE(env.proxy->Write(t, "key2", "doomed-C").ok());
-    w2_status = env.proxy->Commit(t);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Timestamp t2 = env.proxy->Begin();
+  ASSERT_TRUE(env.proxy->Write(t2, "key2", "doomed-C").ok());
+  auto w2_decision = env.proxy->CommitAsync(t2);
+  ASSERT_TRUE(w2_decision.ok()) << w2_decision.status().ToString();
   ASSERT_TRUE(env.proxy->CloseEpochNow().ok());
 
   std::thread crasher([&] { env.proxy->SimulateCrash(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));  // abandon flag set
   release.set_value();
   crasher.join();
-  writer1.join();
-  writer2.join();
-  EXPECT_FALSE(w1_status.ok()) << "epoch N's decision survived the crash";
-  EXPECT_FALSE(w2_status.ok()) << "epoch N+1's decision survived the crash";
+  EXPECT_FALSE(w1_decision->get().ok()) << "epoch N's decision survived the crash";
+  EXPECT_FALSE(w2_decision->get().ok()) << "epoch N+1's decision survived the crash";
 
   RecoveryBreakdown breakdown;
   ASSERT_TRUE(env.proxy->RecoverFromCrash(&breakdown).ok());

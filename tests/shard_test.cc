@@ -125,10 +125,13 @@ TEST(ShardedOramSetTest, ReadWriteRoundTripAcrossShards) {
     ExpectPayload((*result)[i], ValueFor(ids[i]));
   }
 
-  // Writes route to their shards; read back after the epoch flush.
+  // Writes route to their shards; read back after the epoch flush. As in
+  // the proxy, the write batch's schedule movement (write_quota per shard)
+  // and its values are applied separately.
   std::vector<std::pair<BlockId, Bytes>> writes = {
       {0, BytesFromString("w0")}, {7, BytesFromString("w7")}, {42, BytesFromString("w42")}};
-  ASSERT_TRUE(env.set->WriteBatch(writes).ok());
+  env.set->AdvanceWriteSchedule(env.set->write_quota());
+  ASSERT_TRUE(env.set->ApplyWriteValues(writes).ok());
   ASSERT_TRUE(env.set->FinishEpoch().ok());
 
   auto back = env.set->ReadBatch({0, 7, 42, 9});
@@ -204,6 +207,9 @@ TEST(ShardedOramSetTest, OverflowingAShardQuotaIsRejected) {
   // Ids 0, 4, 8 all stripe to shard 0; quota is 2.
   auto result = env.set->ReadBatch({0, 4, 8});
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  Status writes = env.set->ApplyWriteValues(
+      {{0, BytesFromString("a")}, {4, BytesFromString("b")}, {8, BytesFromString("c")}});
+  EXPECT_EQ(writes.code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 
 Walks both documents in lockstep and reports every numeric leaf whose
 relative drift exceeds the threshold, keying array elements by their
-identifying fields (shards/pipelined/pipeline_depth/outstanding/pool/...)
-rather than position, so reordering or appending cells is not "drift".
+identifying fields (shards/pipeline_depth/outstanding/...) rather than
+position, so reordering or appending cells is not "drift".
 
 Throughput REGRESSIONS gate: a throughput-like leaf (txn_per_sec,
 reads_per_sec, *_speedup, *_vs_* ratios) dropping more than the threshold
 below its baseline exits 1 and fails CI. Set BENCH_DIFF_WARN_ONLY=1 to
 demote that to a warning (noisy shared runner, or a PR that knowingly
-trades throughput and will regenerate the baselines). All other drift —
-improvements, non-throughput leaves — is report-only: the trajectory stays
+trades throughput and will regenerate the baselines). A baseline key or
+cell missing from the candidate also exits 1 (BENCH_DIFF_WARN_ONLY does not
+demote it): a pinned key is dropped on purpose by editing the baseline, not
+by no longer emitting it. All other drift — improvements, non-throughput
+leaves, keys new in the candidate — is report-only: the trajectory stays
 visible in every PR log without gating on noise. --gate escalates ALL
 drift to exit 1 for local perf work on quiet machines.
 
@@ -25,8 +28,7 @@ import os
 import sys
 
 # Fields that identify an array element (used to match cells across files).
-KEY_FIELDS = ("shards", "pipelined", "pipeline_depth", "outstanding", "pool",
-              "backend", "mode", "name")
+KEY_FIELDS = ("shards", "pipeline_depth", "outstanding", "backend", "mode", "name")
 
 # Leaves that are configuration, not measurement: drift here means the bench
 # definition changed and the baseline must be regenerated, so say that
@@ -53,33 +55,40 @@ def element_key(el):
     return key if key else None
 
 
+# Drift kinds: REPORT is informational, the other two fail the diff.
+REPORT, REGRESSION, MISSING = "report", "regression", "missing"
+
+
 def walk(path, base, cand, drifts, threshold):
     if isinstance(base, dict) and isinstance(cand, dict):
         for k in base:
             if k not in cand:
-                drifts.append((path + "/" + k, "missing from candidate", None, False))
+                drifts.append((path + "/" + k, "missing from candidate", None, MISSING))
                 continue
             walk(path + "/" + k, base[k], cand[k], drifts, threshold)
         for k in cand:
             if k not in base:
-                drifts.append((path + "/" + k, "new in candidate", None, False))
+                drifts.append((path + "/" + k, "new in candidate", None, REPORT))
     elif isinstance(base, list) and isinstance(cand, list):
         keyed = {element_key(el): el for el in cand}
         if None in keyed and len(cand) > 1:
             # Unkeyed elements: fall back to positional matching.
             for i, (b, c) in enumerate(zip(base, cand)):
                 walk("%s[%d]" % (path, i), b, c, drifts, threshold)
+            for i in range(len(cand), len(base)):
+                drifts.append(("%s[%d]" % (path, i), "cell missing from candidate", None,
+                               MISSING))
             return
         for el in base:
             key = element_key(el)
             label = path + str(dict(key) if key else "[?]")
             if key not in keyed:
-                drifts.append((label, "cell missing from candidate", None, False))
+                drifts.append((label, "cell missing from candidate", None, MISSING))
                 continue
             walk(label, el, keyed[key], drifts, threshold)
     elif isinstance(base, bool) or isinstance(cand, bool):
         if base != cand:
-            drifts.append((path, "changed %r -> %r" % (base, cand), None, False))
+            drifts.append((path, "changed %r -> %r" % (base, cand), None, REPORT))
     elif isinstance(base, (int, float)) and isinstance(cand, (int, float)):
         leaf = path.rsplit("/", 1)[-1]
         if leaf in DURATION_FIELDS:
@@ -87,17 +96,17 @@ def walk(path, base, cand, drifts, threshold):
         if leaf in CONFIG_FIELDS:
             if base != cand:
                 drifts.append((path, "config changed %r -> %r (regenerate baseline)"
-                               % (base, cand), None, False))
+                               % (base, cand), None, REPORT))
             return
         if base == cand:
             return
         denom = max(abs(base), abs(cand), 1e-9)
         rel = abs(cand - base) / denom
         if rel > threshold:
-            regression = is_throughput(leaf) and cand < base
-            drifts.append((path, "%.6g -> %.6g" % (base, cand), rel, regression))
+            kind = REGRESSION if is_throughput(leaf) and cand < base else REPORT
+            drifts.append((path, "%.6g -> %.6g" % (base, cand), rel, kind))
     elif base != cand:
-        drifts.append((path, "changed %r -> %r" % (base, cand), None, False))
+        drifts.append((path, "changed %r -> %r" % (base, cand), None, REPORT))
 
 
 def main():
@@ -125,14 +134,17 @@ def main():
         return 0
     print("bench_diff [%s]: %d leaves drifted past %.0f%%:"
           % (name, len(drifts), args.threshold * 100))
-    regressions = []
-    for path, desc, rel, regression in drifts:
+    tags = {REPORT: "", REGRESSION: "  [THROUGHPUT REGRESSION]", MISSING: "  [DROPPED KEY]"}
+    for path, desc, rel, kind in drifts:
         suffix = "  (%+.0f%%)" % (rel * 100) if rel is not None else ""
-        tag = "  [THROUGHPUT REGRESSION]" if regression else ""
-        print("  %-60s %s%s%s" % (path, desc, suffix, tag))
-        if regression:
-            regressions.append(path)
+        print("  %-60s %s%s%s" % (path, desc, suffix, tags[kind]))
+    regressions = [d for d in drifts if d[3] == REGRESSION]
+    missing = [d for d in drifts if d[3] == MISSING]
     if args.gate:
+        return 1
+    if missing:
+        print("%d baseline key(s) or cell(s) missing from the candidate — failing the "
+              "build (drop a pinned key by editing the baseline)" % len(missing))
         return 1
     if regressions:
         if os.environ.get("BENCH_DIFF_WARN_ONLY") == "1":
