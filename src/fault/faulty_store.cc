@@ -31,12 +31,12 @@ Status InjectWith(const FaultPlan& plan, uint64_t op, bool durability_path,
 // --- FaultyBucketStore ------------------------------------------------------
 
 void FaultyBucketStore::SetPlan(FaultPlan plan) {
-  std::lock_guard<std::mutex> lk(plan_mu_);
+  std::lock_guard<std::mutex> lk(fault_mu_);
   plan_ = plan;
 }
 
 FaultPlan FaultyBucketStore::plan() const {
-  std::lock_guard<std::mutex> lk(plan_mu_);
+  std::lock_guard<std::mutex> lk(fault_mu_);
   return plan_;
 }
 
@@ -44,7 +44,7 @@ Status FaultyBucketStore::Inject(bool durability_path) {
   uint64_t op = op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   FaultPlan plan;
   {
-    std::lock_guard<std::mutex> lk(plan_mu_);
+    std::lock_guard<std::mutex> lk(fault_mu_);
     plan = plan_;
   }
   return InjectWith(plan, op, durability_path, faults_injected_);
@@ -129,12 +129,12 @@ void FaultyBucketStore::ReadPathsXorAsync(std::vector<PathSlots> paths, uint32_t
 // --- FaultyLogStore ---------------------------------------------------------
 
 void FaultyLogStore::SetPlan(FaultPlan plan) {
-  std::lock_guard<std::mutex> lk(plan_mu_);
+  std::lock_guard<std::mutex> lk(fault_mu_);
   plan_ = plan;
 }
 
 FaultPlan FaultyLogStore::plan() const {
-  std::lock_guard<std::mutex> lk(plan_mu_);
+  std::lock_guard<std::mutex> lk(fault_mu_);
   return plan_;
 }
 
@@ -142,7 +142,7 @@ Status FaultyLogStore::Inject(bool durability_path) {
   uint64_t op = op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
   FaultPlan plan;
   {
-    std::lock_guard<std::mutex> lk(plan_mu_);
+    std::lock_guard<std::mutex> lk(fault_mu_);
     plan = plan_;
   }
   return InjectWith(plan, op, durability_path, faults_injected_);

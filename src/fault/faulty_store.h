@@ -74,7 +74,7 @@ class FaultyBucketStore : public BucketStore {
   Status Inject(bool durability_path);
 
   std::shared_ptr<BucketStore> base_;
-  mutable std::mutex plan_mu_;
+  mutable std::mutex fault_mu_;
   FaultPlan plan_;
   std::atomic<uint64_t> op_counter_{0};
   std::atomic<uint64_t> faults_injected_{0};
@@ -104,7 +104,7 @@ class FaultyLogStore : public LogStore {
   Status Inject(bool durability_path);
 
   std::shared_ptr<LogStore> base_;
-  mutable std::mutex plan_mu_;
+  mutable std::mutex fault_mu_;
   FaultPlan plan_;
   std::atomic<uint64_t> op_counter_{0};
   std::atomic<uint64_t> faults_injected_{0};

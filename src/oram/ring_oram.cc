@@ -1229,6 +1229,22 @@ StatusOr<std::vector<Bytes>> RingOram::RunReadBatch(const std::vector<BlockId>& 
   plan.epoch = epoch_;
   plan.batch_index = batch_in_epoch_++;
 
+  // A batch that fails before its reads are issued (a planning error, or
+  // the plan hook refused it) leaves its planned reads queued — their real
+  // blocks' values must still reach the stash — but nothing may deliver
+  // into this frame's results once it returns.
+  auto fail_unissued = [&](Status st) {
+    current_early_ = nullptr;
+    WaitOutstandingReads();  // eager mode issues reads as it plans them
+    for (PendingRead& read : pending_reads_) {
+      if (read.results == &results) {
+        read.results = nullptr;
+        read.early = nullptr;
+      }
+    }
+    std::erase_if(lazy_results_, [&](const LazyResult& r) { return r.results == &results; });
+    return st;
+  };
   current_early_ = early;
   for (size_t i = 0; i < ids.size(); ++i) {
     std::optional<Leaf> forced;
@@ -1237,14 +1253,16 @@ StatusOr<std::vector<Bytes>> RingOram::RunReadBatch(const std::vector<BlockId>& 
     }
     Status st = PlanAccess(ids[i], forced, plan, &results, i);
     if (!st.ok()) {
-      current_early_ = nullptr;
-      return st;
+      return fail_unissued(st);
     }
   }
   current_early_ = nullptr;
 
   if (planned_hook_ && replay_plan == nullptr) {
-    OBLADI_RETURN_IF_ERROR(planned_hook_(plan));
+    Status st = planned_hook_(plan);
+    if (!st.ok()) {
+      return fail_unissued(st);
+    }
   }
   {
     // access_r stage: dispatch the batch's path reads and wait them out.

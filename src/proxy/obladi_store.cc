@@ -35,32 +35,33 @@ std::unique_ptr<ShardedOramSet> ObladiStore::MakeOramSet(uint64_t seed) const {
   options.oram = cfg_.oram_options;
   options.read_quota = cfg_.read_quota();
   options.write_quota = cfg_.write_quota();
-  if (!shard_stores_.empty()) {
-    return std::make_unique<ShardedOramSet>(cfg_.MakeLayout(), options, shard_stores_,
-                                            encryptor_, seed);
+  auto set = stores_.size() == 1
+                 ? std::make_unique<ShardedOramSet>(cfg_.MakeLayout(), options, stores_[0],
+                                                    encryptor_, seed)
+                 : std::make_unique<ShardedOramSet>(cfg_.MakeLayout(), options, stores_,
+                                                    encryptor_, seed);
+  set->SetWatchdog(watchdog_.get());
+  if (recovery_) {
+    // §8: every global batch's sub-plans reach the WAL as one record before
+    // any of its reads is issued.
+    RecoveryUnit* recovery = recovery_.get();
+    set->SetBatchPlannedHook(
+        [recovery](const std::vector<std::pair<uint32_t, BatchPlan>>& plans) {
+          return recovery->LogReadBatchPlans(plans);
+        });
   }
-  return std::make_unique<ShardedOramSet>(cfg_.MakeLayout(), options, store_, encryptor_,
-                                          seed);
-}
-
-ObladiStore::ObladiStore(ObladiConfig cfg,
-                         std::vector<std::shared_ptr<BucketStore>> shard_stores,
-                         std::shared_ptr<LogStore> log)
-    : ObladiStore(std::move(cfg), nullptr, std::move(log)) {
-  // Delegation order note: the delegated constructor runs MakeOramSet with
-  // shard_stores_ still empty, so rebuild the set over the per-shard stores
-  // here, before anything can touch it (no threads observe oram_ yet —
-  // the retirement worker only dereferences it once a job is queued).
-  shard_stores_ = std::move(shard_stores);
-  oram_ = MakeOramSet(cfg_.seed);
-  AttachWatchdog();
-  RegisterReplicaByteSources();
+  return set;
 }
 
 ObladiStore::ObladiStore(ObladiConfig cfg, std::shared_ptr<BucketStore> store,
                          std::shared_ptr<LogStore> log)
+    : ObladiStore(std::move(cfg), std::vector<std::shared_ptr<BucketStore>>{std::move(store)},
+                  std::move(log)) {}
+
+ObladiStore::ObladiStore(ObladiConfig cfg, std::vector<std::shared_ptr<BucketStore>> stores,
+                         std::shared_ptr<LogStore> log)
     : cfg_(cfg),
-      store_(std::move(store)),
+      stores_(std::move(stores)),
       log_(std::move(log)),
       directory_(cfg.oram.capacity) {
   if (cfg_.num_shards == 0) {
@@ -75,7 +76,6 @@ ObladiStore::ObladiStore(ObladiConfig cfg, std::shared_ptr<BucketStore> store,
   encryptor_ = std::make_shared<Encryptor>(
       Encryptor::FromMasterKey(Bytes{'o', 'b', 'l', 'a', 'd', 'i'}, cfg_.oram.authenticated,
                                cfg_.seed ^ 0x9e3779b97f4a7c15ull));
-  oram_ = MakeOramSet(cfg_.seed);
 
   if (cfg_.recovery.enabled) {
     // Worst-case changed position-map entries *per shard* per epoch.
@@ -95,10 +95,20 @@ ObladiStore::ObladiStore(ObladiConfig cfg, std::shared_ptr<BucketStore> store,
           }
           return delta;
         });
-    InstallPlanHook(/*rendezvous=*/true);
   }
+  if (cfg_.obs.watchdog) {
+    WatchdogSpec spec;
+    spec.num_shards = cfg_.num_shards;
+    spec.read_quota = cfg_.read_quota();
+    spec.batches_per_epoch = cfg_.read_batches_per_epoch;
+    spec.write_quota = cfg_.write_quota();
+    spec.wire_byte_tolerance = cfg_.obs.watchdog_byte_tolerance;
+    spec.byte_warmup_epochs = cfg_.obs.watchdog_byte_warmup_epochs;
+    spec.abort_on_violation = cfg_.obs.watchdog_abort;
+    watchdog_ = std::make_unique<TraceShapeWatchdog>(spec);
+  }
+  oram_ = MakeOramSet(cfg_.seed);
   SetupObservability();
-  RegisterReplicaByteSources();
   epoch_batches_.resize(cfg_.read_batches_per_epoch);
   ResetEpochBatchesLocked();
   // The retirement worker exists in every mode: manual-mode FinishEpochNow
@@ -124,18 +134,6 @@ void ObladiStore::SetupObservability() {
       Status st = Tracer::Get().StartStreaming(cfg_.obs.trace_stream_path);
       started_trace_stream_ = st.ok();
     }
-  }
-  if (cfg_.obs.watchdog) {
-    WatchdogSpec spec;
-    spec.num_shards = cfg_.num_shards;
-    spec.read_quota = cfg_.read_quota();
-    spec.batches_per_epoch = cfg_.read_batches_per_epoch;
-    spec.write_quota = cfg_.write_quota();
-    spec.wire_byte_tolerance = cfg_.obs.watchdog_byte_tolerance;
-    spec.byte_warmup_epochs = cfg_.obs.watchdog_byte_warmup_epochs;
-    spec.abort_on_violation = cfg_.obs.watchdog_abort;
-    watchdog_ = std::make_unique<TraceShapeWatchdog>(spec);
-    AttachWatchdog();
   }
   if (cfg_.obs.metrics || cfg_.obs.admin_listener) {
     metrics_ = std::make_unique<MetricsRegistry>();
@@ -235,9 +233,7 @@ void ObladiStore::SetupObservability() {
   }
   if (watchdog_) {
     // Default wire-byte accounting: feed the watchdog the byte counters of
-    // whatever remote stores the proxy was constructed over. Collected
-    // lazily at sample time so the per-shard constructor's late store
-    // installation is picked up.
+    // whatever remote stores the proxy was constructed over.
     watchdog_->SetWireByteSource([this]() -> std::pair<uint64_t, uint64_t> {
       uint64_t sent = 0;
       uint64_t received = 0;
@@ -247,6 +243,7 @@ void ObladiStore::SetupObservability() {
       }
       return {sent, received};
     });
+    RegisterReplicaByteSources();
   }
   if (cfg_.obs.admin_listener) {
     AdminServerOptions opts;
@@ -266,22 +263,19 @@ void ObladiStore::SetupObservability() {
   }
 }
 
-void ObladiStore::AttachWatchdog() {
-  if (watchdog_ && oram_) {
-    oram_->SetWatchdog(watchdog_.get());
+MetricLabels ObladiStore::BucketStoreLabels(size_t i) const {
+  if (stores_.size() == 1) {
+    return {{"tier", "bucket"}};
   }
+  return {{"tier", "bucket"}, {"shard", std::to_string(i)}};
 }
 
 std::vector<std::pair<MetricLabels, NetworkStats*>> ObladiStore::CollectNetworkStats()
     const {
   std::vector<std::pair<MetricLabels, NetworkStats*>> out;
-  if (store_ != nullptr && store_->network_stats() != nullptr) {
-    out.emplace_back(MetricLabels{{"tier", "bucket"}}, store_->network_stats());
-  }
-  for (size_t s = 0; s < shard_stores_.size(); ++s) {
-    if (shard_stores_[s] != nullptr && shard_stores_[s]->network_stats() != nullptr) {
-      out.emplace_back(MetricLabels{{"tier", "bucket"}, {"shard", std::to_string(s)}},
-                       shard_stores_[s]->network_stats());
+  for (size_t i = 0; i < stores_.size(); ++i) {
+    if (stores_[i]->network_stats() != nullptr) {
+      out.emplace_back(BucketStoreLabels(i), stores_[i]->network_stats());
     }
   }
   if (log_ != nullptr && log_->network_stats() != nullptr) {
@@ -298,14 +292,8 @@ std::vector<std::pair<MetricLabels, ReplicationStats>> ObladiStore::CollectRepli
       out.emplace_back(std::move(labels), std::move(rs));
     }
   };
-  if (store_ != nullptr) {
-    add(MetricLabels{{"tier", "bucket"}}, store_->replication_stats());
-  }
-  for (size_t s = 0; s < shard_stores_.size(); ++s) {
-    if (shard_stores_[s] != nullptr) {
-      add(MetricLabels{{"tier", "bucket"}, {"shard", std::to_string(s)}},
-          shard_stores_[s]->replication_stats());
-    }
+  for (size_t i = 0; i < stores_.size(); ++i) {
+    add(BucketStoreLabels(i), stores_[i]->replication_stats());
   }
   if (log_ != nullptr) {
     add(MetricLabels{{"tier", "log"}}, log_->replication_stats());
@@ -314,9 +302,6 @@ std::vector<std::pair<MetricLabels, ReplicationStats>> ObladiStore::CollectRepli
 }
 
 void ObladiStore::RegisterReplicaByteSources() {
-  if (!watchdog_) {
-    return;
-  }
   auto sample_of = [](const ReplicationStats& rs,
                       size_t index) -> TraceShapeWatchdog::WireByteSample {
     TraceShapeWatchdog::WireByteSample out;
@@ -327,54 +312,31 @@ void ObladiStore::RegisterReplicaByteSources() {
     }
     return out;
   };
-  auto add_bucket = [&](const std::string& label, const std::shared_ptr<BucketStore>& store) {
-    if (store == nullptr) {
-      return;
-    }
-    ReplicationStats rs = store->replication_stats();
+  // One source per replica with transport counters (a replica without them
+  // has nothing to band-check); `stats` reads the owning store's stats.
+  auto add = [&](const std::string& label, std::function<ReplicationStats()> stats) {
+    ReplicationStats rs = stats();
     for (size_t r = 0; r < rs.replicas.size(); ++r) {
-      if (rs.replicas[r].stats == nullptr) {
-        continue;  // replica without transport counters: nothing to band-check
+      if (rs.replicas[r].stats != nullptr) {
+        watchdog_->AddWireByteSource(label + "/replica" + std::to_string(r),
+                                     [stats, r, sample_of] { return sample_of(stats(), r); });
       }
-      std::string name = label + "/replica" + std::to_string(r);
-      if (!replica_byte_sources_registered_.insert(name).second) {
-        continue;
-      }
-      watchdog_->AddWireByteSource(
-          name, [store, r, sample_of] { return sample_of(store->replication_stats(), r); });
     }
   };
-  add_bucket("bucket", store_);
-  for (size_t s = 0; s < shard_stores_.size(); ++s) {
-    add_bucket("bucket/shard" + std::to_string(s), shard_stores_[s]);
+  for (size_t i = 0; i < stores_.size(); ++i) {
+    std::shared_ptr<BucketStore> store = stores_[i];
+    std::string label = stores_.size() == 1 ? "bucket" : "bucket/shard" + std::to_string(i);
+    add(label, [store] { return store->replication_stats(); });
   }
   if (log_ != nullptr) {
-    ReplicationStats rs = log_->replication_stats();
-    for (size_t r = 0; r < rs.replicas.size(); ++r) {
-      if (rs.replicas[r].stats == nullptr) {
-        continue;
-      }
-      std::string name = "log/replica" + std::to_string(r);
-      if (!replica_byte_sources_registered_.insert(name).second) {
-        continue;
-      }
-      std::shared_ptr<LogStore> log = log_;
-      watchdog_->AddWireByteSource(
-          name, [log, r, sample_of] { return sample_of(log->replication_stats(), r); });
-    }
+    add("log", [log = log_] { return log->replication_stats(); });
   }
 }
 
 void ObladiStore::DriveReplicaHealing(EpochId epoch) {
-  auto drive = [&](BucketStore* store) {
-    if (store != nullptr) {
-      store->NoteEpochRetired(epoch);
-      (void)store->TryHealReplicas();  // failure: replica stays lagging, retried next epoch
-    }
-  };
-  drive(store_.get());
-  for (const auto& store : shard_stores_) {
-    drive(store.get());
+  for (const auto& store : stores_) {
+    store->NoteEpochRetired(epoch);
+    (void)store->TryHealReplicas();  // failure: replica stays lagging, retried next epoch
   }
   if (log_ != nullptr) {
     log_->NoteEpochRetired(epoch);
@@ -594,75 +556,6 @@ void ObladiStore::Abort(Timestamp txn) {
     }
   }
   engine_.Abort(txn);
-}
-
-void ObladiStore::InstallPlanHook(bool rendezvous) {
-  if (!recovery_) {
-    return;
-  }
-  if (rendezvous) {
-    oram_->SetBatchPlannedHook([this](uint32_t shard, const BatchPlan& plan) {
-      return SubmitPlanForLogging(shard, plan);
-    });
-  } else {
-    // Direct per-shard logging: used while completing the crash-recovery
-    // epoch, whose dummy sub-batches run one shard at a time (a K-wide
-    // rendezvous would never fill).
-    oram_->SetBatchPlannedHook([this](uint32_t shard, const BatchPlan& plan) {
-      return recovery_->LogReadBatchPlan(shard, plan);
-    });
-  }
-}
-
-Status ObladiStore::SubmitPlanForLogging(uint32_t shard, const BatchPlan& plan) {
-  std::unique_lock<std::mutex> lk(plan_mu_);
-  plan_batch_.emplace_back(shard, plan);
-  if (plan_batch_.size() < cfg_.num_shards) {
-    ++plan_waiting_;
-    Status st;
-    for (;;) {
-      if (plan_cv_.wait_for(lk, std::chrono::seconds(5), [&] { return plan_done_; })) {
-        st = plan_result_;
-        break;
-      }
-      if (plan_leader_active_) {
-        // The leader is appending — legitimately unbounded (it may sit in
-        // the recovery unit's checkpoint-ordering gate until the previous
-        // epoch retires). Keep waiting.
-        continue;
-      }
-      // No leader ever formed: a peer sub-batch failed before planning.
-      // Abandon the round so its stale plans cannot leak into the next
-      // batch's record.
-      plan_batch_.clear();
-      st = Status::Internal("plan rendezvous timed out (a shard sub-batch "
-                            "failed before planning)");
-      break;
-    }
-    --plan_waiting_;
-    if (plan_done_ && plan_waiting_ == 0) {
-      plan_done_ = false;
-      plan_result_ = Status::Ok();
-    }
-    return st;
-  }
-  // Leader (the K-th sub-batch): append the whole batch's plans as one
-  // record while the peers wait.
-  std::vector<std::pair<uint32_t, BatchPlan>> batch;
-  batch.swap(plan_batch_);
-  plan_leader_active_ = true;
-  lk.unlock();
-  Status st = recovery_->LogReadBatchPlans(batch);
-  lk.lock();
-  plan_leader_active_ = false;
-  plan_result_ = st;
-  plan_done_ = true;
-  plan_cv_.notify_all();
-  if (plan_waiting_ == 0) {
-    plan_done_ = false;
-    plan_result_ = Status::Ok();
-  }
-  return st;
 }
 
 // The write batch's schedule movement for read batch `index` of the epoch:
@@ -1209,12 +1102,6 @@ void ObladiStore::SimulateCrash() {
   }
   // All volatile ORAM metadata is gone with the proxy.
   oram_.reset();
-  {
-    std::lock_guard<std::mutex> plk(plan_mu_);
-    plan_batch_.clear();
-    plan_done_ = false;
-    plan_result_ = Status::Ok();
-  }
   std::lock_guard<std::mutex> rlk(retire_mu_);
   retire_abandon_ = false;
   retire_status_ = Status::Ok();
@@ -1273,12 +1160,10 @@ Status ObladiStore::RecoverFromCrash(RecoveryBreakdown* breakdown) {
         s, std::move(shard.position_map), std::move(shard.metas), std::move(shard.stash),
         shard.access_count, shard.evict_count, recovered->epoch));
   }
-  InstallPlanHook(/*rendezvous=*/false);  // crash-epoch batches are single shard
-  // Re-attach the watchdog to the rebuilt ORAM set and drop any tallies
-  // from the aborted epoch — the replayed + completed crash epoch below
-  // rebuilds a full complement of shaped sub-batches. The byte sample also
-  // resets: recovery traffic is legitimately unshaped.
-  AttachWatchdog();
+  // Drop the watchdog's tallies from the aborted epoch — the replayed +
+  // completed crash epoch below rebuilds a full complement of shaped
+  // sub-batches. The byte sample also resets: recovery traffic is
+  // legitimately unshaped.
   if (watchdog_) {
     watchdog_->ResetEpoch();
   }
@@ -1321,7 +1206,6 @@ Status ObladiStore::RecoverFromCrash(RecoveryBreakdown* breakdown) {
     }
     OBLADI_RETURN_IF_ERROR(CompleteCrashEpoch(replayed_per_shard));
   } while (i < plans.size());
-  InstallPlanHook(/*rendezvous=*/true);
   recovered->breakdown.path_replay_us = replay.ElapsedMicros();
   recovered->breakdown.total_us += recovered->breakdown.path_replay_us;
 

@@ -84,7 +84,6 @@
 #include <future>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -194,8 +193,9 @@ class ObladiStore : public TransactionalKv {
   // Per-shard backing stores (cfg.num_shards of them, each with at least
   // MakeLayout().shard_config.num_buckets() buckets) — one storage node per
   // shard, the deployment where a single node can partition away while the
-  // rest stay reachable. Crash recovery rebuilds over the same stores.
-  ObladiStore(ObladiConfig cfg, std::vector<std::shared_ptr<BucketStore>> shard_stores,
+  // rest stay reachable. A one-element vector is the shared-store form.
+  // Crash recovery rebuilds over the same stores.
+  ObladiStore(ObladiConfig cfg, std::vector<std::shared_ptr<BucketStore>> stores,
               std::shared_ptr<LogStore> log);
   ~ObladiStore() override;
 
@@ -294,18 +294,13 @@ class ObladiStore : public TransactionalKv {
     bool collect_only = false;
   };
 
+  // The one place the proxy's ORAM set is built (construction and crash
+  // recovery): over stores_, with the watchdog and the read-path logging
+  // hook (one WAL record per global batch, §8) attached.
   std::unique_ptr<ShardedOramSet> MakeOramSet(uint64_t seed) const;
   StatusOr<std::shared_future<Status>> EnqueueFetch(const Key& key, BlockId id);
   size_t WriteAdvanceForBatch(size_t index) const;
   Status DispatchBatch(EpochBatch batch, size_t index);
-  // Plan rendezvous: the K shard sub-batches of one global batch each call
-  // this from the batch-planned hook; the K-th caller appends ALL K plans as
-  // one combined log record (one append + one sync per batch instead of K —
-  // K serialized log round trips would otherwise sit on every batch's
-  // critical path). Batches are serialized by dispatch_mu_, so at most one
-  // rendezvous is in flight.
-  Status SubmitPlanForLogging(uint32_t shard, const BatchPlan& plan);
-  void InstallPlanHook(bool rendezvous);
   void PacerLoop();
   void RetireLoop();
   void StopRetirer();
@@ -336,19 +331,20 @@ class ObladiStore : public TransactionalKv {
   void FailAllWaiters();
   void ResetEpochBatchesLocked();
 
-  // Observability plumbing shared by the constructor and crash recovery
-  // (the rebuilt ORAM set must be re-attached to the watchdog).
+  // Observability plumbing run once by the constructor: tracing, metrics,
+  // wire-byte sources and the admin listener. The watchdog itself is built
+  // earlier, before the ORAM set that feeds it.
   void SetupObservability();
-  void AttachWatchdog();
+  // Metric labels of stores_[i]: {tier=bucket} for the shared store, plus
+  // {shard=i} for per-shard stores.
+  MetricLabels BucketStoreLabels(size_t i) const;
   // Every backing store (shared or per-shard, plus the log) that exposes
   // transport counters, labeled for metric export.
   std::vector<std::pair<MetricLabels, NetworkStats*>> CollectNetworkStats() const;
   // Replica-set health/counters of every replicated backing store, labeled
   // like CollectNetworkStats (empty for unreplicated deployments).
   std::vector<std::pair<MetricLabels, ReplicationStats>> CollectReplicationStats() const;
-  // Per-replica wire-byte sources for the trace-shape watchdog. Called at
-  // the end of BOTH constructors: the per-shard form installs its stores
-  // after the delegated constructor already ran SetupObservability.
+  // Per-replica wire-byte sources for the trace-shape watchdog.
   void RegisterReplicaByteSources();
   // Retire-loop hook: report the retired epoch to every replicated store
   // (lag is measured in epochs) and drive one catch-up pass.
@@ -356,23 +352,21 @@ class ObladiStore : public TransactionalKv {
   // Body for the admin server's /healthz: overall status plus one line per
   // replica of every replicated store.
   std::string HealthzText() const;
-  // Labels already wired into the watchdog (the delegating constructor runs
-  // RegisterReplicaByteSources twice; the log's sources must not double up).
-  std::set<std::string> replica_byte_sources_registered_;
 
   ObladiConfig cfg_;
-  std::shared_ptr<BucketStore> store_;  // shared-store form (empty shard_stores_)
-  std::vector<std::shared_ptr<BucketStore>> shard_stores_;  // per-shard form
+  // The caller's bucket stores: one shared store, or one per shard.
+  std::vector<std::shared_ptr<BucketStore>> stores_;
   std::shared_ptr<LogStore> log_;
   std::shared_ptr<Encryptor> encryptor_;
-  // Declared before oram_ so they outlive it: the shard plan hooks hold a
-  // raw watchdog pointer, and metrics sources capture `this`.
+  // Declared before oram_ so they outlive it: the ORAM set holds a raw
+  // watchdog pointer, and metrics sources capture `this`.
   std::unique_ptr<TraceShapeWatchdog> watchdog_;
   std::unique_ptr<MetricsRegistry> metrics_;
   // This proxy opened the global tracer's stream sink; close it on teardown.
   bool started_trace_stream_ = false;
-  std::unique_ptr<ShardedOramSet> oram_;
+  // Declared before oram_: the set's plan hook holds a raw pointer to it.
   std::unique_ptr<RecoveryUnit> recovery_;
+  std::unique_ptr<ShardedOramSet> oram_;
   KeyDirectory directory_;
   MvtsoEngine engine_;
 
@@ -413,16 +407,6 @@ class ObladiStore : public TransactionalKv {
   std::atomic<bool> skew_enabled_{false};
   std::function<uint64_t(uint64_t)> claimed_ts_hook_;
   std::unordered_map<Timestamp, Timestamp> claimed_to_internal_;
-
-  // Plan rendezvous state (see SubmitPlanForLogging).
-  std::mutex plan_mu_;
-  std::condition_variable plan_cv_;
-  std::vector<std::pair<uint32_t, BatchPlan>> plan_batch_;
-  size_t plan_waiting_ = 0;
-  bool plan_leader_active_ = false;  // leader is appending (may block in the
-                                     // checkpoint gate — peers wait it out)
-  bool plan_done_ = false;
-  Status plan_result_;
 
   // Declared last so the scrape listener stops before anything it reads
   // (metrics sources walk oram_ and stats_) is torn down.

@@ -24,10 +24,11 @@ Status RecoveryUnit::AppendRecordLocked(RecordType type, const Bytes& plaintext_
   // synced when this returns, in the same round trip that carried it. The
   // trade vs the old append-under-lock + sync-off-lock split: one round
   // trip per record instead of two, at the cost of holding mu_ across the
-  // sync — concurrent appenders no longer overlap their syncs. Since the
-  // plan rendezvous collapsed K per-shard plan logs into one record per
-  // global batch, appenders are rarely concurrent and the round-trip cut
-  // wins on the batch critical path.
+  // sync — concurrent appenders no longer overlap their syncs. Since
+  // ShardedOramSet's per-batch plan rendezvous hands each global batch's K
+  // sub-plans to one LogReadBatchPlans call (one record per batch),
+  // appenders are rarely concurrent and the round-trip cut wins on the
+  // batch critical path.
   StatusOr<uint64_t> lsn(0ull);
   {
     // The fused durable append is the log's fsync-equivalent: the one WAL
@@ -54,10 +55,6 @@ Status RecoveryUnit::FinishAppendUnlocked(uint64_t seq) {
     return trusted_counter_->Advance(seq + 1);
   }
   return Status::Ok();
-}
-
-Status RecoveryUnit::LogReadBatchPlan(uint32_t shard, const BatchPlan& plan) {
-  return LogReadBatchPlans({{shard, plan}});
 }
 
 Status RecoveryUnit::LogReadBatchPlans(
@@ -165,7 +162,7 @@ Status RecoveryUnit::LogFullCheckpoint(const std::vector<RingOram*>& shards) {
   }
   // Serialize the shards *before* taking mu_: payload building acquires each
   // RingOram's internal lock, and a running read batch logs its plan via
-  // LogReadBatchPlan (which takes mu_) while holding that lock — holding mu_
+  // LogReadBatchPlans (which takes mu_) while holding that lock — holding mu_
   // across the build would invert the order.
   Bytes payload = BuildFullPayload(shards);
   std::unique_lock<std::mutex> lk(mu_);

@@ -7,10 +7,11 @@
 //     appended to the write-ahead log and synced. After a crash the recovery
 //     logic *replays* these paths so the adversary always observes the
 //     aborted epoch's paths repeated — re-accessing the same objects after
-//     recovery therefore leaks nothing. With sharding, every shard's
-//     sub-batch logs its own plan tagged with the shard index (sub-batches
-//     of one global batch execute concurrently, so their log order within
-//     the batch is arbitrary but per-shard order is preserved).
+//     recovery therefore leaks nothing. With sharding, each *global* batch
+//     logs ONE record holding every shard sub-batch's plan tagged with its
+//     shard index (ShardedOramSet's per-batch plan rendezvous collects the
+//     concurrently planned sub-batches and hands them over together), so
+//     per-shard order follows log order.
 //
 //  2. Per-epoch delta checkpoints: at each epoch commit the proxy logs, for
 //     *every shard*, the position-map delta (padded to the worst-case number
@@ -74,19 +75,15 @@ class RecoveryUnit {
 
   const RecoveryConfig& config() const { return config_; }
 
-  // §8: called (via the batch-planned hook) before a shard sub-batch's
-  // physical requests are issued. Appends the encrypted, shard-tagged plan
-  // and syncs. The single-argument form is the single-ORAM convenience
-  // (shard 0).
-  Status LogReadBatchPlan(uint32_t shard, const BatchPlan& plan);
-  Status LogReadBatchPlan(const BatchPlan& plan) { return LogReadBatchPlan(0, plan); }
-
-  // All of one *global* batch's shard sub-plans as ONE log record (one
-  // append + one sync instead of K of each — the K appends would otherwise
-  // serialize on the log and put K storage round trips on every batch's
-  // critical path). The proxy's plan rendezvous collects the K concurrently
-  // planned sub-batches and a single leader calls this.
+  // §8: called (via the batch-planned hook) before a batch's physical
+  // requests are issued. Appends all of one *global* batch's shard-tagged
+  // sub-plans, encrypted, as ONE log record and syncs (one append + one
+  // sync instead of K of each — the K appends would otherwise serialize on
+  // the log and put K storage round trips on every batch's critical path).
+  // ShardedOramSet's per-batch plan rendezvous makes the one call per batch.
   Status LogReadBatchPlans(const std::vector<std::pair<uint32_t, BatchPlan>>& plans);
+  // Single-ORAM convenience: the plan is shard 0's.
+  Status LogReadBatchPlan(const BatchPlan& plan) { return LogReadBatchPlans({{0, plan}}); }
 
   // Log the epoch's delta (or periodic full) checkpoint covering every shard
   // and sync. Call after the shards' FinishEpoch. Equivalent to
@@ -113,7 +110,7 @@ class RecoveryUnit {
   //     plans past the last durable checkpoint (D-1 closed-but-undurable
   //     epochs plus the partial one) — recovery replays exactly that
   //     window, grouping plans by their logged epoch. While the window is
-  //     full, LogReadBatchPlan blocks until the oldest checkpoint lands —
+  //     full, LogReadBatchPlans blocks until the oldest checkpoint lands —
   //     or fails if a pending checkpoint was abandoned (retirement failure
   //     or simulated crash). D=1 reproduces the original single-slot gate.
   //

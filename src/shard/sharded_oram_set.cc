@@ -1,6 +1,7 @@
 #include "src/shard/sharded_oram_set.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <thread>
 
 #include "src/obs/trace.h"
@@ -8,6 +9,17 @@
 #include "src/shard/shard_store_view.h"
 
 namespace obladi {
+
+struct ShardedOramSet::PlanRendezvous {
+  explicit PlanRendezvous(size_t participants) : expected(participants) {}
+  std::mutex mu;
+  std::condition_variable cv;
+  const size_t expected;
+  size_t arrived = 0;
+  std::vector<std::pair<uint32_t, BatchPlan>> plans;
+  Status result;  // first planning failure, then the hook's status
+  bool done = false;
+};
 
 ShardedOramSet::ShardedOramSet(const ShardLayout& layout, const ShardedOramOptions& options,
                                std::shared_ptr<BucketStore> store,
@@ -36,7 +48,7 @@ ShardedOramSet::ShardedOramSet(const ShardLayout& layout, const ShardedOramOptio
 void ShardedOramSet::Construct(std::vector<std::shared_ptr<BucketStore>> shard_stores,
                                std::shared_ptr<Encryptor> encryptor, uint64_t seed) {
   RingOramOptions per_shard = options_.oram;
-  if (options_.divide_io_threads && layout_.num_shards > 1) {
+  if (layout_.num_shards > 1) {
     per_shard.io_threads =
         std::max<size_t>(2, options_.oram.io_threads / layout_.num_shards);
   }
@@ -46,6 +58,15 @@ void ShardedOramSet::Construct(std::vector<std::shared_ptr<BucketStore>> shard_s
     uint64_t shard_seed = seed ^ (0x9e3779b97f4a7c15ull * (s + 1));
     shards_.push_back(std::make_unique<RingOram>(layout_.ConfigForShard(s), per_shard,
                                                  shard_stores[s], encryptor, shard_seed));
+    // Runs under the running batch's batch_mu_, which guards both members.
+    shards_[s]->SetBatchPlannedHook([this, s](const BatchPlan& plan) {
+      // The plan is what the shard ORAM will actually issue, padding
+      // included — the right place to assert the padded shape.
+      if (watchdog_ != nullptr) {
+        watchdog_->ObserveShardBatch(s, plan.requests.size());
+      }
+      return rendezvous_ != nullptr ? Arrive(s, &plan, Status::Ok()) : Status::Ok();
+    });
   }
   if (layout_.num_shards > 1) {
     coordinator_ = std::make_unique<ThreadPool>(layout_.num_shards);
@@ -151,24 +172,24 @@ StatusOr<std::vector<Bytes>> ShardedOramSet::ReadBatchImpl(const std::vector<Blo
     sub[s].resize(options_.read_quota, kInvalidBlockId);
   }
 
+  std::lock_guard<std::mutex> batch_lk(batch_mu_);
+  PlanRendezvous rendezvous(k);
+  rendezvous_ = plan_hook_ ? &rendezvous : nullptr;
   std::vector<StatusOr<std::vector<Bytes>>> shard_results(
       k, StatusOr<std::vector<Bytes>>(Status::Internal("not run")));
   Status st = RunOnShards([&](uint32_t s) {
-    if (early != nullptr) {
-      // Translate a shard-local early answer to the global batch index.
-      // Only real (non-padding) requests occupy the dense prefix of sub[s],
-      // so every fire's local index has a result_slot mapping.
-      RingOram::EarlyResultFn shard_early = [&, s](size_t j, const Bytes& value) {
-        if (j < result_slot[s].size()) {
-          (*early)(result_slot[s][j], value);
-        }
-      };
-      shard_results[s] = shards_[s]->ReadBatch(sub[s], shard_early);
-    } else {
-      shard_results[s] = shards_[s]->ReadBatch(sub[s]);
-    }
+    // Translate a shard-local early answer to the global batch index.
+    // Only real (non-padding) requests occupy the dense prefix of sub[s],
+    // so every fire's local index has a result_slot mapping.
+    RingOram::EarlyResultFn shard_early = [&, s](size_t j, const Bytes& value) {
+      if (j < result_slot[s].size()) {
+        (*early)(result_slot[s][j], value);
+      }
+    };
+    shard_results[s] = RunSubBatch(s, sub[s], early != nullptr ? &shard_early : nullptr);
     return shard_results[s].ok() ? Status::Ok() : shard_results[s].status();
   });
+  rendezvous_ = nullptr;
   OBLADI_RETURN_IF_ERROR(st);
 
   std::vector<Bytes> results(ids.size());
@@ -198,9 +219,53 @@ Status ShardedOramSet::ReadShardDummyBatch(uint32_t shard) {
   if (shard >= layout_.num_shards) {
     return Status::InvalidArgument("unknown shard");
   }
+  std::lock_guard<std::mutex> batch_lk(batch_mu_);
+  PlanRendezvous rendezvous(1);
+  rendezvous_ = plan_hook_ ? &rendezvous : nullptr;
   std::vector<BlockId> dummies(options_.read_quota, kInvalidBlockId);
-  auto result = shards_[shard]->ReadBatch(dummies);
+  auto result = RunSubBatch(shard, dummies, nullptr);
+  rendezvous_ = nullptr;
   return result.ok() ? Status::Ok() : result.status();
+}
+
+StatusOr<std::vector<Bytes>> ShardedOramSet::RunSubBatch(uint32_t shard,
+                                                         const std::vector<BlockId>& ids,
+                                                         const RingOram::EarlyResultFn* early) {
+  auto result = early != nullptr ? shards_[shard]->ReadBatch(ids, *early)
+                                 : shards_[shard]->ReadBatch(ids);
+  if (!result.ok() && rendezvous_ != nullptr) {
+    (void)Arrive(shard, nullptr, result.status());
+  }
+  return result;
+}
+
+Status ShardedOramSet::Arrive(uint32_t shard, const BatchPlan* plan, const Status& failure) {
+  PlanRendezvous& rv = *rendezvous_;
+  std::unique_lock<std::mutex> lk(rv.mu);
+  if (rv.done) {
+    return rv.result;  // failed after its plan arrived; the batch is decided
+  }
+  if (plan != nullptr) {
+    rv.plans.emplace_back(shard, *plan);
+  } else if (rv.result.ok()) {
+    rv.result = failure;
+  }
+  if (++rv.arrived < rv.expected) {
+    rv.cv.wait(lk, [&] { return rv.done; });
+    return rv.result;
+  }
+  if (rv.result.ok()) {
+    // Every participant is parked on the cv; the plans are this thread's.
+    lk.unlock();
+    std::sort(rv.plans.begin(), rv.plans.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    Status st = plan_hook_(rv.plans);
+    lk.lock();
+    rv.result = st;
+  }
+  rv.done = true;
+  rv.cv.notify_all();
+  return rv.result;
 }
 
 void ShardedOramSet::AdvanceWriteSchedule(size_t per_shard_bumps) {
@@ -293,10 +358,10 @@ size_t ShardedOramSet::InflightBlocks() const {
 
 Status ShardedOramSet::TruncateStaleVersions() {
   // NOT RunOnShards: the retirement stage calls this while the next epoch's
-  // batch fan-outs occupy the coordinator pool. Sharing that pool deadlocks
-  // until a timeout fires — truncate tasks that win pool slots block on
-  // shard locks held by running sub-batches, while the sub-batches those
-  // are waiting for (their plan rendezvous peers) sit queued behind them.
+  // batch fan-outs occupy the coordinator pool. Sharing that pool would
+  // deadlock — truncate tasks that win pool slots block on shard locks held
+  // by running sub-batches, which wait in their batch's plan rendezvous for
+  // peer sub-batches that sit queued behind those truncate tasks.
   if (layout_.num_shards == 1) {
     return shards_[0]->TruncateStaleVersions();
   }
@@ -315,34 +380,14 @@ Status ShardedOramSet::TruncateStaleVersions() {
   return Status::Ok();
 }
 
-void ShardedOramSet::SetBatchPlannedHook(
-    std::function<Status(uint32_t, const BatchPlan&)> hook) {
-  user_hook_ = std::move(hook);
-  InstallShardHooks();
+void ShardedOramSet::SetBatchPlannedHook(BatchPlannedFn hook) {
+  std::lock_guard<std::mutex> batch_lk(batch_mu_);
+  plan_hook_ = std::move(hook);
 }
 
 void ShardedOramSet::SetWatchdog(TraceShapeWatchdog* watchdog) {
+  std::lock_guard<std::mutex> batch_lk(batch_mu_);
   watchdog_ = watchdog;
-  InstallShardHooks();
-}
-
-void ShardedOramSet::InstallShardHooks() {
-  for (uint32_t s = 0; s < layout_.num_shards; ++s) {
-    if (!user_hook_ && watchdog_ == nullptr) {
-      shards_[s]->SetBatchPlannedHook(nullptr);
-      continue;
-    }
-    auto hook = user_hook_;
-    TraceShapeWatchdog* wd = watchdog_;
-    shards_[s]->SetBatchPlannedHook([hook, wd, s](const BatchPlan& plan) {
-      // The plan is what the shard ORAM will actually issue, padding
-      // included — the right place to assert the padded shape.
-      if (wd != nullptr) {
-        wd->ObserveShardBatch(s, plan.requests.size());
-      }
-      return hook ? hook(s, plan) : Status::Ok();
-    });
-  }
 }
 
 std::vector<RingOram*> ShardedOramSet::shard_ptrs() {

@@ -48,13 +48,13 @@ struct ShardedOramOptions {
   RingOramOptions oram;   // template applied to every shard
   size_t read_quota = 0;  // per-shard logical requests per read batch
   size_t write_quota = 0; // per-shard real-write capacity per epoch
-  // Split oram.io_threads across the shards (each shard gets at least 2) so
-  // total I/O concurrency stays comparable to the single-ORAM configuration.
-  bool divide_io_threads = true;
 };
 
 class ShardedOramSet {
  public:
+  // With K > 1, oram.io_threads is split across the shards (each gets at
+  // least 2) so total I/O concurrency matches the single-ORAM configuration.
+  //
   // Shared backing store: shard i owns buckets [i*B, (i+1)*B), where B is
   // layout.shard_config.num_buckets(). The store must have at least
   // layout.total_buckets() buckets.
@@ -150,14 +150,21 @@ class ShardedOramSet {
   // after the epoch's checkpoint is durable.
   Status TruncateStaleVersions();
 
-  // Hook invoked with (shard, plan) before a shard sub-batch's physical
-  // reads are issued; the proxy uses it for read-path logging (§8). Shard
-  // sub-batches of one global batch run concurrently, so the hook must be
-  // thread-safe.
-  void SetBatchPlannedHook(std::function<Status(uint32_t, const BatchPlan&)> hook);
+  // Read-path logging (§8): before any read of a global batch is issued,
+  // the hook gets the batch's planned sub-batches as (shard, local plan)
+  // pairs in shard order — K for ReadBatch, one for ReadShardDummyBatch.
+  // The sub-batches meet in a per-batch rendezvous, each arriving once
+  // (holding its shard's lock) with its plan or its planning failure; the
+  // last arrival calls the hook, or skips it if any sub-batch failed, and
+  // every sub-batch returns that status, issuing no reads on failure.
+  // Batches are serialized inside the set. Replayed batches are already
+  // logged and skip the hook. nullptr: sub-batches run independently.
+  using BatchPlannedFn =
+      std::function<Status(const std::vector<std::pair<uint32_t, BatchPlan>>&)>;
+  void SetBatchPlannedHook(BatchPlannedFn hook);
 
-  // Attaches the trace-shape watchdog. Fed from the same per-shard plan
-  // hooks the recovery logger uses (so it observes each shard ORAM's actual
+  // Attaches the trace-shape watchdog. Fed from each shard ORAM's plan
+  // hook, ahead of the rendezvous (so it observes each shard ORAM's actual
   // planned sub-batch, not the coordinator's intent), from every
   // write-schedule advance, and from every epoch close. Must outlive this
   // set; nullptr detaches.
@@ -200,13 +207,21 @@ class ShardedOramSet {
                  std::shared_ptr<Encryptor> encryptor, uint64_t seed);
   StatusOr<std::vector<Bytes>> ReadBatchImpl(const std::vector<BlockId>& ids,
                                              const EarlyResultFn* early);
+  // One global batch's plan rendezvous; lives on the launching batch's stack.
+  struct PlanRendezvous;
+  // Runs one sub-batch of the current batch on `shard`. A sub-batch that
+  // failed before its plan reached the hook arrives with its failure, so
+  // its peers never wait for a plan that will not come.
+  StatusOr<std::vector<Bytes>> RunSubBatch(uint32_t shard, const std::vector<BlockId>& ids,
+                                           const RingOram::EarlyResultFn* early);
+  // A sub-batch's arrival at the current rendezvous (plan == nullptr: it
+  // failed with `failure`). Returns the batch's logging status once every
+  // participant has arrived.
+  Status Arrive(uint32_t shard, const BatchPlan* plan, const Status& failure);
   // Run fn(shard) for every shard, concurrently when K > 1; returns the
   // first error. Records each shard's outcome into the health snapshot.
   Status RunOnShards(const std::function<Status(uint32_t)>& fn);
   void RecordShardOutcome(uint32_t shard, bool ok);
-  // (Re)installs the per-shard RingOram plan hooks that multiplex the user
-  // hook and the watchdog feed.
-  void InstallShardHooks();
 
   ShardLayout layout_;
   ShardedOramOptions options_;
@@ -215,7 +230,11 @@ class ShardedOramSet {
   // Coordinator pool: one slot per shard, used only to fan sub-batch and
   // epoch operations out; each shard's RingOram does its own I/O pooling.
   std::unique_ptr<ThreadPool> coordinator_;
-  std::function<Status(uint32_t, const BatchPlan&)> user_hook_;
+  // Serializes global batches (and hook/watchdog installation against
+  // them); held from routing until every sub-batch returned.
+  std::mutex batch_mu_;
+  BatchPlannedFn plan_hook_;
+  PlanRendezvous* rendezvous_ = nullptr;  // the running batch's, if hooked
   class TraceShapeWatchdog* watchdog_ = nullptr;
 
   mutable std::mutex health_mu_;

@@ -559,11 +559,14 @@ TEST(ObladiStorePipelineTest, PipelinedPacedRequestShapeIsEpochInvariant) {
 
   std::mutex plan_mu;
   std::map<std::pair<uint64_t, uint32_t>, std::vector<size_t>> plans;  // (epoch, shard)
-  env.proxy->oram()->SetBatchPlannedHook([&](uint32_t shard, const BatchPlan& plan) {
-    std::lock_guard<std::mutex> lk(plan_mu);
-    plans[{plan.epoch, shard}].push_back(plan.requests.size());
-    return Status::Ok();
-  });
+  env.proxy->oram()->SetBatchPlannedHook(
+      [&](const std::vector<std::pair<uint32_t, BatchPlan>>& batch) {
+        std::lock_guard<std::mutex> lk(plan_mu);
+        for (const auto& [shard, plan] : batch) {
+          plans[{plan.epoch, shard}].push_back(plan.requests.size());
+        }
+        return Status::Ok();
+      });
 
   env.proxy->Start();
   std::vector<std::thread> clients;

@@ -73,45 +73,90 @@ TEST(RecoveryTest, UncommittedEpochIsRolledBack) {
   EXPECT_EQ(ReadCommitted(*env.proxy, "key6"), "value6");
 }
 
-TEST(RecoveryTest, CrashAfterDispatchedBatchesReplaysLoggedPaths) {
-  auto env = MakeEnv();
-  // Tracing must be part of the configuration so the recovered ORAM instance
-  // records its replay too.
-  env.config.oram_options.enable_trace = true;
-  env.proxy = std::make_unique<ObladiStore>(env.config, env.store, env.log);
-  ASSERT_TRUE(env.proxy->Load(SimpleRecords(40)).ok());
+// A dispatched batch's logged paths are replayed after a crash (§8: the
+// adversary sees the same paths again). Read-path logging must not depend
+// on how the proxy was built: over one shared store or over one store per
+// shard, a dispatched batch appends exactly one plan record before its
+// reads, and recovery replays every shard's logged sub-batch.
+struct Construction {
+  uint32_t shards;
+  bool per_shard_stores;
+};
 
-  // Issue reads that get batched, dispatch one batch, then crash. The logged
-  // batch must be replayed: the same (bucket, version, slot) trace repeats.
-  Timestamp t = env.proxy->Begin();
-  std::thread reader([&] { (void)env.proxy->Read(t, "key11"); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+class RecoveryConstructionTest : public testing::TestWithParam<Construction> {};
 
-  env.proxy->oram()->trace().Clear();
-  ASSERT_TRUE(env.proxy->StepReadBatch().ok());
-  auto pre_crash_trace = env.proxy->oram()->trace().Take();
-  ASSERT_FALSE(pre_crash_trace.empty());
+TEST_P(RecoveryConstructionTest, CrashAfterDispatchedBatchReplaysEveryShard) {
+  const uint32_t kShards = GetParam().shards;
+  ObladiConfig config = ObladiConfig::ForCapacity(128, /*z=*/4, /*payload=*/128);
+  config.num_shards = kShards;
+  config.read_batches_per_epoch = 2;
+  config.read_batch_size = 6;
+  config.write_batch_size = 6;
+  config.recovery.enabled = true;
+  config.recovery.full_checkpoint_interval = 3;
+  config.oram_options.io_threads = 4;
+  config.oram_options.enable_trace = true;
+  const RingOramConfig shard_config = config.MakeLayout().shard_config;
+  auto log = std::make_shared<MemoryLogStore>();
+  std::unique_ptr<ObladiStore> proxy;
+  if (GetParam().per_shard_stores) {
+    std::vector<std::shared_ptr<BucketStore>> stores;
+    for (uint32_t s = 0; s < kShards; ++s) {
+      stores.push_back(std::make_shared<MemoryBucketStore>(shard_config.num_buckets(),
+                                                           shard_config.slots_per_bucket()));
+    }
+    proxy = std::make_unique<ObladiStore>(config, std::move(stores), log);
+  } else {
+    auto store = std::make_shared<MemoryBucketStore>(config.StoreBuckets(),
+                                                     shard_config.slots_per_bucket());
+    proxy = std::make_unique<ObladiStore>(config, store, log);
+  }
+  ASSERT_TRUE(proxy->Load(SimpleRecords(40)).ok());
+
+  // Queue one real read into the epoch's first batch, dispatch it, crash.
+  Timestamp t = proxy->Begin();
+  std::thread reader([&] { (void)proxy->Read(t, "key11"); });
+  ASSERT_TRUE(PollUntil([&] { return proxy->stats().oram_fetches == 1; }));
+  std::vector<std::vector<PhysicalOp>> pre_crash(kShards);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    proxy->oram()->shard_trace(s).Clear();
+  }
+  const uint64_t lsn_before = log->NextLsn();
+  ASSERT_TRUE(proxy->StepReadBatch().ok());
+  EXPECT_EQ(log->NextLsn(), lsn_before + 1) << "one plan record per global batch";
+  for (uint32_t s = 0; s < kShards; ++s) {
+    pre_crash[s] = proxy->oram()->shard_trace(s).Take();
+    ASSERT_FALSE(pre_crash[s].empty()) << "shard " << s;
+  }
   reader.join();
 
-  env.proxy->SimulateCrash();
+  proxy->SimulateCrash();
   RecoveryBreakdown breakdown;
-  ASSERT_TRUE(env.proxy->RecoverFromCrash(&breakdown).ok());
-  EXPECT_EQ(breakdown.replayed_batches, 1u);
+  ASSERT_TRUE(proxy->RecoverFromCrash(&breakdown).ok());
+  EXPECT_EQ(breakdown.replayed_batches, kShards);
 
-  // The replayed prefix of the recovery trace must exactly match the
-  // pre-crash physical reads (§8: the adversary sees the same paths again).
-  auto replay_trace = env.proxy->oram()->trace().Take();
-  ASSERT_GE(replay_trace.size(), pre_crash_trace.size());
-  for (size_t i = 0; i < pre_crash_trace.size(); ++i) {
-    if (pre_crash_trace[i].type != PhysicalOpType::kReadSlot) {
-      continue;
+  // Each shard's recovery trace opens with its pre-crash physical reads.
+  for (uint32_t s = 0; s < kShards; ++s) {
+    auto replay = proxy->oram()->shard_trace(s).Take();
+    ASSERT_GE(replay.size(), pre_crash[s].size()) << "shard " << s;
+    for (size_t i = 0; i < pre_crash[s].size(); ++i) {
+      if (pre_crash[s][i].type == PhysicalOpType::kReadSlot) {
+        EXPECT_EQ(replay[i], pre_crash[s][i]) << "shard " << s << " diverged at op " << i;
+      }
     }
-    EXPECT_EQ(replay_trace[i], pre_crash_trace[i]) << "replay diverged at op " << i;
+    proxy->oram()->shard_trace(s).Disable();
   }
-  env.proxy->oram()->trace().Disable();
-
-  EXPECT_EQ(ReadCommitted(*env.proxy, "key11"), "value11");
+  EXPECT_EQ(ReadCommitted(*proxy, "key11"), "value11");
 }
+
+INSTANTIATE_TEST_SUITE_P(Constructions, RecoveryConstructionTest,
+                         testing::Values(Construction{1, false}, Construction{2, false},
+                                         Construction{2, true}),
+                         [](const testing::TestParamInfo<Construction>& info) {
+                           return "K" + std::to_string(info.param.shards) +
+                                  (info.param.per_shard_stores ? "PerShardStores"
+                                                               : "SharedStore");
+                         });
 
 TEST(RecoveryTest, RepeatedCrashesAndRecoveries) {
   auto env = MakeEnv();

@@ -1,5 +1,6 @@
-// Tests for the sharded ORAM subsystem: routing correctness, obliviousness
-// of the per-shard request shape under skew, proxy integration at K=4
+// Tests for the sharded ORAM subsystem: routing correctness, the per-batch
+// plan rendezvous behind read-path logging, obliviousness of the per-shard
+// request shape under skew, proxy integration at K=4
 // (read-your-writes, epoch fate sharing, crash recovery), and read-batch
 // throughput scaling over a latency-bound backend.
 #include <gtest/gtest.h>
@@ -213,6 +214,101 @@ TEST(ShardedOramSetTest, OverflowingAShardQuotaIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Plan rendezvous: one hook call per global batch
+// ---------------------------------------------------------------------------
+
+using PlanBatch = std::vector<std::pair<uint32_t, BatchPlan>>;
+
+// Records every hook call; `fail` makes the hook refuse the batch.
+struct HookLog {
+  std::mutex mu;
+  std::vector<PlanBatch> calls;
+  Status fail = Status::Ok();
+
+  ShardedOramSet::BatchPlannedFn Hook() {
+    return [this](const PlanBatch& batch) {
+      std::lock_guard<std::mutex> lk(mu);
+      calls.push_back(batch);
+      return fail;
+    };
+  }
+};
+
+TEST(ShardPlanRendezvousTest, SubBatchPlanningFailureFailsTheBatchWithoutTheHook) {
+  constexpr uint32_t kShards = 4;
+  auto env = MakeSharded(kShards, 64, /*read_quota=*/2, /*write_quota=*/2);
+  ASSERT_TRUE(env.set->Initialize(std::vector<Bytes>(64)).ok());
+  HookLog log;
+  env.set->SetBatchPlannedHook(log.Hook());
+
+  // Routes to shard 1 with a local id past that shard's capacity: shard 1
+  // fails to plan while its three peers plan padding and wait for it.
+  const BlockId out_of_range = kShards * 64 + 1;
+  ASSERT_EQ(env.set->router().ShardOf(out_of_range), 1u);
+  Stopwatch sw;
+  auto failed = env.set->ReadBatch({out_of_range});
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_LT(sw.ElapsedMicros(), 1'000'000u) << "peers waited out a sub-batch that failed";
+  {
+    std::lock_guard<std::mutex> lk(log.mu);
+    EXPECT_TRUE(log.calls.empty()) << "hook ran for a batch that failed to plan";
+  }
+
+  // The next good batch reaches the hook once, with every shard's plan.
+  auto ok = env.set->ReadBatch({0, 1, 2, 3});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  std::lock_guard<std::mutex> lk(log.mu);
+  ASSERT_EQ(log.calls.size(), 1u);
+  ASSERT_EQ(log.calls[0].size(), kShards);
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(log.calls[0][s].first, s);
+    // Every shard counted the failed batch as index 0.
+    EXPECT_EQ(log.calls[0][s].second.batch_index, 1u) << "shard " << s;
+    EXPECT_EQ(log.calls[0][s].second.requests.size(), 2u) << "shard " << s;
+  }
+}
+
+TEST(ShardPlanRendezvousTest, DummySubBatchHandsTheHookOnePlan) {
+  auto env = MakeSharded(4, 64, /*read_quota=*/2, /*write_quota=*/2);
+  ASSERT_TRUE(env.set->Initialize(std::vector<Bytes>(64)).ok());
+  HookLog log;
+  env.set->SetBatchPlannedHook(log.Hook());
+  ASSERT_TRUE(env.set->ReadShardDummyBatch(2).ok());
+  std::lock_guard<std::mutex> lk(log.mu);
+  ASSERT_EQ(log.calls.size(), 1u);
+  ASSERT_EQ(log.calls[0].size(), 1u);
+  EXPECT_EQ(log.calls[0][0].first, 2u);
+  EXPECT_EQ(log.calls[0][0].second.requests.size(), 2u);
+}
+
+TEST(ShardPlanRendezvousTest, HookFailureFailsEverySubBatchAndLosesNoBlock) {
+  auto env = MakeSharded(4, 64, /*read_quota=*/2, /*write_quota=*/2);
+  std::vector<Bytes> values(64);
+  for (BlockId id = 0; id < 64; ++id) {
+    values[id] = ValueFor(id);
+  }
+  ASSERT_TRUE(env.set->Initialize(values).ok());
+  HookLog log;
+  log.fail = Status::Unavailable("log down");
+  env.set->SetBatchPlannedHook(log.Hook());
+  auto refused = env.set->ReadBatch({0, 1, 2, 3});
+  EXPECT_EQ(refused.status().code(), StatusCode::kUnavailable);
+  {
+    std::lock_guard<std::mutex> lk(log.mu);
+    EXPECT_EQ(log.calls.size(), 1u);
+    log.fail = Status::Ok();
+  }
+  // The refused batch already pulled its blocks toward the stash; their
+  // values must still arrive for the next batch that reads them.
+  auto retried = env.set->ReadBatch({0, 1, 2, 3});
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  for (BlockId id = 0; id < 4; ++id) {
+    ExpectPayload((*retried)[id], ValueFor(id));
+  }
+  EXPECT_TRUE(env.set->CheckInvariants().ok());
+}
+
+// ---------------------------------------------------------------------------
 // Obliviousness of routing under skew
 // ---------------------------------------------------------------------------
 
@@ -256,9 +352,11 @@ TEST(ShardObliviousnessTest, PerShardRequestCountsAreExactlyWorkloadIndependent)
     // Every shard sub-batch plan must carry exactly kQuota requests.
     std::mutex mu;
     std::vector<std::vector<size_t>> plan_sizes(kShards);
-    env.set->SetBatchPlannedHook([&](uint32_t shard, const BatchPlan& plan) {
+    env.set->SetBatchPlannedHook([&](const std::vector<std::pair<uint32_t, BatchPlan>>& batch) {
       std::lock_guard<std::mutex> lk(mu);
-      plan_sizes[shard].push_back(plan.requests.size());
+      for (const auto& [shard, plan] : batch) {
+        plan_sizes[shard].push_back(plan.requests.size());
+      }
       return Status::Ok();
     });
 
