@@ -172,12 +172,13 @@ void AsyncNetClient::Submit(NetRequest req, ResponseCallback done, uint64_t dead
 void AsyncNetClient::SubmitEncoded(MsgType type, uint64_t id, const Bytes& payload,
                                    Pending p, const size_t* force_slot, bool allow_block) {
   p.type = type;
+  p.id = id;
   const uint64_t deadline_ms = p.deadline_ms;
   Tracer& tracer = Tracer::Get();
   uint64_t inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (tracer.enabled()) {
     // Submit->complete latency span, recorded at completion (rpc category,
-    // named by message type).
+    // named by message type, arg = wire request id).
     p.submit_ns = NowNanos();
     tracer.RecordCounter("net", "net.rpc_inflight", inflight);
   }
@@ -557,8 +558,8 @@ void AsyncNetClient::Complete(Pending&& p, StatusOr<NetResponse> result) {
   if (p.submit_ns != 0) {
     Tracer& tracer = Tracer::Get();
     if (tracer.enabled()) {
-      tracer.RecordSpan("rpc", MsgTypeName(p.type), p.submit_ns,
-                        NowNanos() - p.submit_ns);
+      tracer.RecordSpanArg("rpc", MsgTypeName(p.type), p.submit_ns,
+                           NowNanos() - p.submit_ns, p.id);
       tracer.RecordCounter("net", "net.rpc_inflight", inflight);
     }
   }

@@ -6,8 +6,8 @@
 // and returns immediately with a future; a single epoll event-loop thread
 // (src/net/event_loop.h) moves all the bytes and pairs each returning frame
 // with its pending request by id — responses may arrive in any order.
-// Hundreds of RPCs can be outstanding with zero dedicated threads, which is
-// what lets the epoch pipeline overlap whole batches across shards.
+// Many RPCs can be outstanding with zero dedicated threads, though small
+// concurrent ones on one socket finish no sooner than one batched request.
 //
 // Failure model: a connection loss fails every RPC pending on it *fast*
 // (completions fire with Unavailable the moment the loop observes the
@@ -181,6 +181,7 @@ class AsyncNetClient {
   };
   struct Pending {
     MsgType type = MsgType::kPing;
+    uint64_t id = 0;  // wire request id, the arg of the rpc span
     size_t slot = 0;
     uint64_t generation = 0;
     uint64_t submit_ns = 0;  // 0 unless the tracer was enabled at submit

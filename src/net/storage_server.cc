@@ -201,7 +201,7 @@ void StorageServer::ServeRequest(const std::shared_ptr<ConnState>& conn, NetRequ
   uint64_t start_us = service_time != nullptr ? NowMicros() : 0;
   NetResponse resp;
   {
-    OBS_SPAN("server", MsgTypeName(req.type));
+    OBS_SPAN_ARG("server", MsgTypeName(req.type), req.id);
     resp = Handle(req);
   }
   if (service_time != nullptr) {

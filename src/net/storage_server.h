@@ -9,9 +9,9 @@
 // reader thread per connection that does nothing but reassemble frames and
 // hand each decoded request to the shared worker pool; workers execute
 // against the backend and reply under a per-connection send lock — in
-// completion order, NOT arrival order. A single client connection therefore
-// gets up to num_workers-way request overlap, which is what lets one
-// event-loop client drive hundreds of outstanding RPCs through one socket.
+// completion order, NOT arrival order. Handlers of one connection overlap,
+// but its reader takes frames one by one (a trace showed them ~0.1 ms
+// apart), so clients send a stage as one batched request, not many small.
 // Batched ReadSlots / WriteBuckets / TruncateBuckets requests hit the
 // backend's batched entry points and are answered in a single round trip.
 //

@@ -388,14 +388,14 @@ void RingOram::DispatchPlainReads(std::vector<PendingRead> reads) {
   if (reads.empty()) {
     return;
   }
-  // Split the batch's reads into chunks, each issued as one batched storage
-  // request: inter- and intra-request parallelism. Against a blocking store
-  // each in-flight chunk occupies a pool thread for its whole round trip,
-  // so chunks are bounded by ~2x the crypto threads; an async store only
-  // needs a thread at *completion* (to decrypt), so chunks scale with the
-  // I/O width instead — one event loop keeps them all in flight at once.
+  // Each chunk is one batched storage request. Against a blocking store a
+  // chunk holds a pool thread for its round trip, and ~2x the crypto threads
+  // of chunks overlap those round trips. An async store holds no thread and
+  // gets the whole dispatch in one request: a trace showed more concurrent
+  // small requests on one connection finishing no sooner, each only adding
+  // its own overhead. Decryption still fans out on the I/O pool.
   const bool async = options_.parallel && store_->SupportsAsyncBatches();
-  size_t max_chunks = 2 * (async ? pool_->num_threads() : crypto_pool_->num_threads());
+  size_t max_chunks = async ? 1 : 2 * crypto_pool_->num_threads();
   size_t chunk = (reads.size() + max_chunks - 1) / max_chunks;
   size_t num_chunks = (reads.size() + chunk - 1) / chunk;
   {
@@ -404,44 +404,38 @@ void RingOram::DispatchPlainReads(std::vector<PendingRead> reads) {
   }
   for (size_t start = 0; start < reads.size(); start += chunk) {
     size_t end = std::min(start + chunk, reads.size());
-    std::vector<PendingRead> group(reads.begin() + static_cast<ptrdiff_t>(start),
-                                   reads.begin() + static_cast<ptrdiff_t>(end));
+    auto group = std::make_shared<std::vector<PendingRead>>(
+        reads.begin() + static_cast<ptrdiff_t>(start), reads.begin() + static_cast<ptrdiff_t>(end));
+    std::vector<SlotRef> refs;
+    refs.reserve(group->size());
+    for (const PendingRead& read : *group) {
+      refs.push_back(SlotRef{read.bucket, read.version, read.slot});
+    }
     if (async) {
       // Submit now (non-blocking); the completion fires on the transport's
       // event-loop thread and hands the ciphertexts to the I/O pool for
       // decryption — the loop thread never does crypto.
-      std::vector<SlotRef> refs;
-      refs.reserve(group.size());
-      for (const PendingRead& read : group) {
-        refs.push_back(SlotRef{read.bucket, read.version, read.slot});
-      }
-      auto shared_group = std::make_shared<std::vector<PendingRead>>(std::move(group));
       store_->ReadSlotsBatchAsync(
-          std::move(refs), [this, shared_group](std::vector<StatusOr<Bytes>> ciphertexts) {
-            pool_->Enqueue([this, shared_group, cts = std::move(ciphertexts)]() mutable {
-              ProcessReadGroup(*shared_group, std::move(cts));
+          std::move(refs), [this, group](std::vector<StatusOr<Bytes>> ciphertexts) {
+            pool_->Enqueue([this, group, cts = std::move(ciphertexts)]() mutable {
+              ProcessReadGroup(*group, std::move(cts));
             });
           });
     } else {
-      pool_->Enqueue([this, group = std::move(group)] {
-        std::vector<SlotRef> refs;
-        refs.reserve(group.size());
-        for (const PendingRead& read : group) {
-          refs.push_back(SlotRef{read.bucket, read.version, read.slot});
-        }
-        ProcessReadGroup(group, store_->ReadSlotsBatch(refs));
+      pool_->Enqueue([this, group, refs = std::move(refs)] {
+        ProcessReadGroup(*group, store_->ReadSlotsBatch(refs));
       });
     }
   }
 }
 
 void RingOram::DispatchXorReads(std::vector<std::vector<PendingRead>> groups) {
-  // Same chunking rationale as DispatchPlainReads, over paths instead of
-  // slots: each chunk is one kReadPathsXor request carrying many paths.
+  // Same request shape as DispatchPlainReads, over paths instead of slots:
+  // each chunk is one kReadPathsXor request carrying many paths.
   const bool async = options_.parallel && store_->SupportsAsyncBatches();
   const uint32_t header_bytes = Encryptor::kNonceSize;
   const uint32_t trailer_bytes = encryptor_->authenticated() ? Encryptor::kTagSize : 0;
-  size_t max_chunks = 2 * (async ? pool_->num_threads() : crypto_pool_->num_threads());
+  size_t max_chunks = async ? 1 : 2 * crypto_pool_->num_threads();
   size_t chunk = (groups.size() + max_chunks - 1) / max_chunks;
   size_t num_chunks = (groups.size() + chunk - 1) / chunk;
   stats_.xor_path_reads += groups.size();

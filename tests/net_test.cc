@@ -1184,8 +1184,68 @@ TEST(StorageServerTest, ClientSurvivesServerRestart) {
 // Full proxy epoch pipeline over loopback
 // ---------------------------------------------------------------------------
 
+// Forwards every call to `base` and counts the batched reads that pass
+// through, sync and async forms alike. Between a proxy and its remote store
+// each counted call is exactly one wire request.
+class CountingBucketStore : public BucketStore {
+ public:
+  explicit CountingBucketStore(std::shared_ptr<BucketStore> base) : base_(std::move(base)) {}
+
+  StatusOr<Bytes> ReadSlot(BucketIndex bucket, uint32_t version, SlotIndex slot) override {
+    return base_->ReadSlot(bucket, version, slot);
+  }
+  Status WriteBucket(BucketIndex bucket, uint32_t version, std::vector<Bytes> slots) override {
+    return base_->WriteBucket(bucket, version, std::move(slots));
+  }
+  std::vector<StatusOr<Bytes>> ReadSlotsBatch(const std::vector<SlotRef>& refs) override {
+    slot_batches.fetch_add(1);
+    return base_->ReadSlotsBatch(refs);
+  }
+  Status WriteBucketsBatch(std::vector<BucketImage> images) override {
+    return base_->WriteBucketsBatch(std::move(images));
+  }
+  Status TruncateBucket(BucketIndex bucket, uint32_t keep_from_version) override {
+    return base_->TruncateBucket(bucket, keep_from_version);
+  }
+  Status TruncateBucketsBatch(const std::vector<TruncateRef>& refs) override {
+    return base_->TruncateBucketsBatch(refs);
+  }
+  std::vector<StatusOr<PathXorResult>> ReadPathsXor(const std::vector<PathSlots>& paths,
+                                                    uint32_t header_bytes,
+                                                    uint32_t trailer_bytes) override {
+    xor_batches.fetch_add(1);
+    return base_->ReadPathsXor(paths, header_bytes, trailer_bytes);
+  }
+  bool SupportsAsyncBatches() const override { return base_->SupportsAsyncBatches(); }
+  void ReadSlotsBatchAsync(std::vector<SlotRef> refs, ReadSlotsDone done) override {
+    slot_batches.fetch_add(1);
+    base_->ReadSlotsBatchAsync(std::move(refs), std::move(done));
+  }
+  void WriteBucketsBatchAsync(std::vector<BucketImage> images, WriteBucketsDone done) override {
+    base_->WriteBucketsBatchAsync(std::move(images), std::move(done));
+  }
+  void ReadPathsXorAsync(std::vector<PathSlots> paths, uint32_t header_bytes,
+                         uint32_t trailer_bytes, ReadPathsXorDone done) override {
+    xor_batches.fetch_add(1);
+    base_->ReadPathsXorAsync(std::move(paths), header_bytes, trailer_bytes, std::move(done));
+  }
+  size_t num_buckets() const override { return base_->num_buckets(); }
+  NetworkStats* network_stats() override { return base_->network_stats(); }
+
+  std::atomic<uint64_t> slot_batches{0};
+  std::atomic<uint64_t> xor_batches{0};
+
+ private:
+  std::shared_ptr<BucketStore> base_;
+};
+
+// A loopback deployment with a counting store on each side of the wire:
+// `sent` between the proxy and its remote store (one call per request),
+// `served` between the storage server and its memory backend.
 struct RemoteProxyEnv {
   std::shared_ptr<MemoryBucketStore> buckets;
+  std::shared_ptr<CountingBucketStore> served;
+  std::shared_ptr<CountingBucketStore> sent;
   std::shared_ptr<MemoryLogStore> log;
   std::unique_ptr<StorageServer> server;
   ObladiConfig config;
@@ -1205,8 +1265,9 @@ RemoteProxyEnv MakeRemoteProxy(uint32_t shards) {
 
   env.buckets = std::make_shared<MemoryBucketStore>(
       env.config.StoreBuckets(), env.config.MakeLayout().shard_config.slots_per_bucket());
+  env.served = std::make_shared<CountingBucketStore>(env.buckets);
   env.log = std::make_shared<MemoryLogStore>();
-  env.server = std::make_unique<StorageServer>(env.buckets, env.log);
+  env.server = std::make_unique<StorageServer>(env.served, env.log);
   EXPECT_TRUE(env.server->Start().ok());
 
   RemoteStoreOptions opts;
@@ -1214,8 +1275,8 @@ RemoteProxyEnv MakeRemoteProxy(uint32_t shards) {
   auto remote_buckets = RemoteBucketStore::Connect(opts);
   auto remote_log = RemoteLogStore::Connect(opts);
   EXPECT_TRUE(remote_buckets.ok() && remote_log.ok());
-  env.proxy = std::make_unique<ObladiStore>(env.config, std::move(*remote_buckets),
-                                            std::move(*remote_log));
+  env.sent = std::make_shared<CountingBucketStore>(std::move(*remote_buckets));
+  env.proxy = std::make_unique<ObladiStore>(env.config, env.sent, std::move(*remote_log));
   return env;
 }
 
@@ -1269,6 +1330,70 @@ TEST_P(RemoteProxyPipelineTest, ProxyCrashRecoveryReplaysOverTheNetwork) {
               "durable" + std::to_string(i));
   }
   EXPECT_TRUE(env.proxy->oram()->CheckInvariants().ok());
+}
+
+// Against an async store each shard sends its read stage's XOR paths as one
+// kReadPathsXor and each stage's plain slots (the evict stage's bucket
+// pulls, the read stage's leftovers) as one kReadSlots, however many paths
+// and slots the stage holds. The server serves every read request, of
+// either kind, with one backend ReadSlotsBatch.
+TEST_P(RemoteProxyPipelineTest, EachReadStageIsOneRequestPerShard) {
+  const uint64_t k = GetParam();
+  auto env = MakeRemoteProxy(GetParam());
+  ASSERT_TRUE(env.proxy->Load(NetRecords(64)).ok());
+
+  uint64_t xor_total = 0;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    for (size_t b = 0; b < env.config.read_batches_per_epoch; ++b) {
+      const uint64_t xor_before = env.sent->xor_batches.load();
+      const uint64_t slots_before = env.sent->slot_batches.load();
+      const uint64_t served_before = env.served->slot_batches.load();
+      ASSERT_TRUE(env.proxy->StepReadBatch().ok());
+      const uint64_t xor_calls = env.sent->xor_batches.load() - xor_before;
+      const uint64_t slot_calls = env.sent->slot_batches.load() - slots_before;
+      // A path whose every level is in the epoch buffer sends no request,
+      // so these are bounds, not exact counts.
+      EXPECT_LE(xor_calls, k) << "epoch " << epoch << " batch " << b;
+      EXPECT_LE(slot_calls, 2 * k) << "epoch " << epoch << " batch " << b;
+      EXPECT_EQ(env.served->slot_batches.load() - served_before, xor_calls + slot_calls);
+      xor_total += xor_calls;
+    }
+    ASSERT_TRUE(env.proxy->FinishEpochNow().ok());
+  }
+  EXPECT_GT(xor_total, 0u) << "no batch took the XOR path";
+}
+
+// Loopback twin of SchedulerTest.EarlyAnswersDeliverCorrectValues: one
+// response carries a shard's whole read stage, and its paths still answer
+// their reads one by one as each decrypts.
+TEST_P(RemoteProxyPipelineTest, EarlyAnswersDeliverCorrectValuesOverLoopback) {
+  auto env = MakeRemoteProxy(GetParam());
+  ASSERT_TRUE(env.proxy->Load(NetRecords(40)).ok());
+
+  constexpr int kReaders = 4;
+  std::atomic<int> done{0};
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      Timestamp t = env.proxy->Begin();
+      auto v = env.proxy->Read(t, "key" + std::to_string(i));
+      EXPECT_TRUE(v.ok()) << v.status().ToString();
+      if (v.ok()) {
+        EXPECT_EQ(*v, "value" + std::to_string(i));
+      }
+      env.proxy->Abort(t);
+      done.fetch_add(1);
+    });
+  }
+  while (done.load() < kReaders) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    (void)env.proxy->StepReadBatch();
+  }
+  for (auto& r : readers) {
+    r.join();
+  }
+  ASSERT_TRUE(env.proxy->FinishEpochNow().ok());
+  EXPECT_GE(env.proxy->stats().sched_overlapped_accesses, static_cast<uint64_t>(kReaders));
 }
 
 INSTANTIATE_TEST_SUITE_P(KShards, RemoteProxyPipelineTest, testing::Values(1u, 4u),
