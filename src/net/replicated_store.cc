@@ -1,6 +1,9 @@
 #include "src/net/replicated_store.h"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
+#include <set>
 #include <utility>
 
 namespace obladi {
@@ -12,68 +15,320 @@ namespace {
 // retire loop will kick the next pass, so give up rather than spin.
 constexpr int kMaxHealRounds = 4096;
 
+// WAL catch-up buffer cap: once the ordered op tail a lagging replica still
+// needs exceeds this many bytes, that replica is marked dead instead of
+// stalling trim forever.
+constexpr size_t kMaxPendingLogBytes = 64ull << 20;
+
+// Max ops replayed per locked-snapshot round during WAL catch-up.
+constexpr size_t kLogReplayChunk = 256;
+
+template <typename T>
+bool AnyRetryable(const StatusOr<T>& result) {
+  return !result.ok() && IsReplicaRetryable(result.status());
+}
+
+template <typename T>
+bool AnyRetryable(const std::vector<StatusOr<T>>& results) {
+  return std::any_of(results.begin(), results.end(),
+                     [](const StatusOr<T>& r) { return AnyRetryable(r); });
+}
+
+// Per-replica outcomes of one write fan-out, counted toward its quorum.
+struct QuorumTally {
+  uint32_t oks = 0;
+  Status first_error = Status::Ok();
+  std::vector<size_t> failed;  // failed retriably: demote these
+
+  // Records one replica's answer; true if it acked.
+  bool Add(size_t replica, const Status& s) {
+    if (s.ok()) {
+      oks++;
+      return true;
+    }
+    if (first_error.ok()) {
+      first_error = s;
+    }
+    if (IsReplicaRetryable(s)) {
+      failed.push_back(replica);
+    }
+    return false;
+  }
+  Status Outcome(uint32_t quorum, const char* unreached) const {
+    if (oks >= quorum) {
+      return Status::Ok();
+    }
+    return first_error.ok() ? Status::Unavailable(unreached) : first_error;
+  }
+};
+
+// The answer of a batched read no replica could take.
+template <typename T>
+std::function<std::vector<StatusOr<T>>()> NoReplica(size_t n) {
+  return [n] { return std::vector<StatusOr<T>>(n, Status::Unavailable("no current replica")); };
+}
+
 }  // namespace
+
+// --- ReplicaSet -------------------------------------------------------------
+
+// The per-replica fields the health core reads and writes; each store
+// extends them with its own catch-up state.
+template <typename S>
+struct ReplicaBase {
+  using Store = S;
+  std::shared_ptr<Store> store;
+  ReplicaHealth health = ReplicaHealth::kCurrent;
+  uint64_t lag_start_epoch = 0;
+  // A heal pass is in flight for this replica (K shard views share one
+  // replica set and may all kick TryHealReplicas; only one pass runs).
+  bool healing = false;
+};
+
+// Methods named *Locked expect `mu` held; the others take it themselves.
+template <typename Replica>
+class ReplicaSet {
+ public:
+  using Store = typename Replica::Store;
+  template <typename Result>
+  using Done = std::function<void(Result)>;
+
+  ReplicaSet(std::vector<std::shared_ptr<Store>> stores, uint32_t write_quorum)
+      : quorum(std::clamp<uint32_t>(write_quorum, 1,
+                                    static_cast<uint32_t>(std::max<size_t>(stores.size(), 1)))) {
+    replicas.reserve(stores.size());
+    for (auto& store : stores) {
+      Replica r;
+      r.store = std::move(store);
+      replicas.push_back(std::move(r));
+    }
+  }
+
+  int PrimaryIndexLocked() const {
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (replicas[i].health == ReplicaHealth::kCurrent) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  }
+
+  // The current replicas, in index order: a write fan-out's targets.
+  std::vector<size_t> CurrentLocked() const {
+    std::vector<size_t> out;
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      if (replicas[i].health == ReplicaHealth::kCurrent) {
+        out.push_back(i);
+      }
+    }
+    return out;
+  }
+
+  // Demote `index` to lagging after a retryable failure. Unless
+  // `demote_last`, the last current replica is never demoted: someone has
+  // to keep serving (errors then propagate), and idempotent state has
+  // nothing a demotion would protect. WAL appends and truncates pass
+  // `demote_last` — the LSN bookkeeping cannot keep serving past a missed
+  // op. Returns true if a current replica remains to fail over to.
+  bool DemoteLocked(size_t index, bool count_failover, bool demote_last) {
+    if (replicas[index].health != ReplicaHealth::kCurrent) {
+      // Someone demoted it concurrently; report whether a target remains.
+      return PrimaryIndexLocked() >= 0;
+    }
+    if (!demote_last && CurrentLocked().size() <= 1) {
+      return false;
+    }
+    const bool was_primary = PrimaryIndexLocked() == static_cast<int>(index);
+    Replica& r = replicas[index];
+    r.health = ReplicaHealth::kLagging;
+    r.lag_start_epoch = epoch_;
+    generation_++;
+    // Demoting the primary is a failover no matter which path noticed the
+    // outage first — a quorum write fan-out demoting it moves reads exactly
+    // as a failed read would.
+    if (count_failover || was_primary) {
+      failovers_++;
+    }
+    return PrimaryIndexLocked() >= 0;
+  }
+
+  // A caught-up lagging replica rejoins the current set.
+  void PromoteLocked(size_t index) {
+    Replica& r = replicas[index];
+    const uint64_t lag = LagEpochsLocked(r);
+    r.health = ReplicaHealth::kCurrent;
+    resyncs_++;
+    resync_epochs_ += lag > 0 ? lag : 1;
+    generation_++;
+  }
+
+  // Excludes a replica for good (it lost acknowledged data, or fell past
+  // what replay can restore); heal passes skip it.
+  void KillLocked(size_t index) {
+    if (replicas[index].health != ReplicaHealth::kDead) {
+      replicas[index].health = ReplicaHealth::kDead;
+      generation_++;
+    }
+  }
+
+  int PrimaryIndex() {
+    std::lock_guard<std::mutex> lk(mu);
+    return PrimaryIndexLocked();
+  }
+
+  ReplicationStats Stats() {
+    std::lock_guard<std::mutex> lk(mu);
+    ReplicationStats out;
+    out.failovers = failovers_;
+    out.resyncs = resyncs_;
+    out.resync_epochs = resync_epochs_;
+    out.generation = generation_;
+    int primary = PrimaryIndexLocked();
+    out.replicas.reserve(replicas.size());
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      ReplicaInfo info;
+      info.index = static_cast<uint32_t>(i);
+      info.primary = static_cast<int>(i) == primary;
+      info.health = replicas[i].health;
+      info.lag_epochs = LagEpochsLocked(replicas[i]);
+      info.stats = replicas[i].store->network_stats();
+      out.replicas.push_back(info);
+    }
+    return out;
+  }
+
+  void NoteEpochRetired(EpochId epoch) {
+    std::lock_guard<std::mutex> lk(mu);
+    epoch_ = std::max<uint64_t>(epoch_, epoch);
+  }
+
+  // Runs `heal` for each lagging replica no other pass is healing, under
+  // that replica's healing flag; returns the first error.
+  Status HealEach(const std::function<Status(size_t)>& heal) {
+    Status first = Status::Ok();
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        Replica& r = replicas[i];
+        if (r.health != ReplicaHealth::kLagging || r.healing) {
+          continue;
+        }
+        r.healing = true;
+      }
+      Status s = heal(i);
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        replicas[i].healing = false;
+      }
+      if (!s.ok() && first.ok()) {
+        first = s;
+      }
+    }
+    return first;
+  }
+
+  // Read failover, the one path every read entry point takes. `submit`
+  // issues the read against the primary and answers through its callback
+  // (inline for blocking calls). A retryable answer demotes the primary and
+  // re-issues at the next one, at most once per replica plus one; `done`
+  // gets the first other answer, or the last replica's once the replicas
+  // or the retries run out. `none` is the answer when no replica is current.
+  template <typename Result>
+  void Read(std::function<void(Store&, Done<Result>)> submit, std::function<Result()> none,
+            Done<Result> done) {
+    Submit(std::make_shared<ReadCall<Result>>(
+               ReadCall<Result>{std::move(submit), std::move(none), std::move(done)}),
+           0);
+  }
+
+  // Read for a blocking per-replica call.
+  template <typename Result>
+  Result ReadSync(const std::function<Result(Store&)>& call, std::function<Result()> none) {
+    std::optional<Result> out;
+    Read<Result>([&call](Store& store, Done<Result> done) { done(call(store)); },
+                 std::move(none), [&out](Result result) { out = std::move(result); });
+    return std::move(*out);
+  }
+
+  const uint32_t quorum;  // write_quorum clamped to [1, R]
+  // Guards the replicas and the counters below, plus each owning store's
+  // own bookkeeping.
+  mutable std::mutex mu;
+  std::vector<Replica> replicas;  // fixed size after construction
+
+ private:
+  template <typename Result>
+  struct ReadCall {
+    std::function<void(Store&, Done<Result>)> submit;
+    std::function<Result()> none;
+    Done<Result> done;
+  };
+
+  template <typename Result>
+  void Submit(std::shared_ptr<ReadCall<Result>> call, size_t attempt) {
+    std::shared_ptr<Store> primary;
+    int p = -1;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      p = PrimaryIndexLocked();
+      if (p >= 0) {
+        primary = replicas[static_cast<size_t>(p)].store;
+      }
+    }
+    if (p < 0) {
+      call->done(call->none());
+      return;
+    }
+    call->submit(*primary, [this, call, attempt, p](Result result) {
+      if (AnyRetryable(result)) {
+        bool again = false;
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          again = DemoteLocked(static_cast<size_t>(p), /*count_failover=*/true,
+                               /*demote_last=*/false) &&
+                  attempt < replicas.size();
+        }
+        if (again) {
+          Submit(call, attempt + 1);
+          return;
+        }
+      }
+      call->done(std::move(result));
+    });
+  }
+
+  uint64_t LagEpochsLocked(const Replica& r) const {
+    if (r.health == ReplicaHealth::kCurrent) {
+      return 0;
+    }
+    return epoch_ > r.lag_start_epoch ? epoch_ - r.lag_start_epoch : 0;
+  }
+
+  uint64_t epoch_ = 0;
+  uint64_t failovers_ = 0;
+  uint64_t resyncs_ = 0;
+  uint64_t resync_epochs_ = 0;
+  uint64_t generation_ = 0;
+};
 
 // --- ReplicatedBucketStore --------------------------------------------------
 
+struct ReplicatedBucketStore::Replica : ReplicaBase<BucketStore> {
+  // Buckets whose state on this replica is stale (missed writes/truncates
+  // while lagging). Epoch replay rebuilds exactly these.
+  std::set<BucketIndex> dirty;
+};
+
 ReplicatedBucketStore::ReplicatedBucketStore(std::vector<std::shared_ptr<BucketStore>> replicas,
                                              ReplicatedStoreOptions options)
-    : options_(options),
-      quorum_(std::clamp<uint32_t>(options.write_quorum, 1,
-                                   static_cast<uint32_t>(std::max<size_t>(replicas.size(), 1)))) {
-  replicas_.reserve(replicas.size());
-  for (auto& store : replicas) {
-    Replica r;
-    r.store = std::move(store);
-    replicas_.push_back(std::move(r));
-  }
-  live_.resize(replicas_.empty() ? 0 : replicas_[0].store->num_buckets());
+    : set_(std::make_unique<ReplicaSet<Replica>>(std::move(replicas), options.write_quorum)) {
+  live_.resize(set_->replicas.empty() ? 0 : set_->replicas[0].store->num_buckets());
 }
 
-int ReplicatedBucketStore::PrimaryIndexLocked() const {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i].health == ReplicaHealth::kCurrent) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
+ReplicatedBucketStore::~ReplicatedBucketStore() = default;
 
 int ReplicatedBucketStore::PrimaryIndexForTest() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return PrimaryIndexLocked();
-}
-
-bool ReplicatedBucketStore::DemoteLocked(size_t index, bool count_failover) {
-  if (replicas_[index].health != ReplicaHealth::kCurrent) {
-    // Someone demoted it concurrently; report whether a target remains.
-    return PrimaryIndexLocked() >= 0;
-  }
-  size_t current = 0;
-  for (const Replica& r : replicas_) {
-    current += r.health == ReplicaHealth::kCurrent;
-  }
-  if (current <= 1) {
-    // The last replica standing keeps serving; bucket state is idempotent,
-    // so there is nothing a demotion would protect.
-    return false;
-  }
-  const bool was_primary = PrimaryIndexLocked() == static_cast<int>(index);
-  Replica& r = replicas_[index];
-  r.health = ReplicaHealth::kLagging;
-  r.lag_start_epoch = epoch_;
-  generation_++;
-  // Demoting the primary is a failover no matter which path noticed the
-  // outage first — a quorum write fan-out demoting it moves reads exactly
-  // as a failed read would.
-  if (count_failover || was_primary) {
-    failovers_++;
-  }
-  return true;
-}
-
-void ReplicatedBucketStore::MarkLaggingDirtyLocked(size_t index, BucketIndex bucket) {
-  replicas_[index].dirty.insert(bucket);
+  return set_->PrimaryIndex();
 }
 
 void ReplicatedBucketStore::RecordWriteLocked(BucketIndex bucket, uint32_t version,
@@ -90,79 +345,65 @@ void ReplicatedBucketStore::RecordTruncateLocked(BucketIndex bucket, uint32_t ke
   }
 }
 
-template <typename Result>
-std::vector<StatusOr<Result>> ReplicatedBucketStore::ReadWithFailover(
-    const std::function<std::vector<StatusOr<Result>>(BucketStore&)>& op, size_t n) {
-  for (size_t attempt = 0; attempt <= replicas_.size(); ++attempt) {
-    std::shared_ptr<BucketStore> primary;
-    int p = -1;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      p = PrimaryIndexLocked();
-      if (p >= 0) {
-        primary = replicas_[static_cast<size_t>(p)].store;
-      }
-    }
-    if (p < 0) {
-      return std::vector<StatusOr<Result>>(n, Status::Unavailable("no current replica"));
-    }
-    std::vector<StatusOr<Result>> results = op(*primary);
-    bool retryable = false;
-    for (const StatusOr<Result>& r : results) {
-      if (!r.ok() && IsReplicaRetryable(r.status())) {
-        retryable = true;
-        break;
-      }
-    }
-    if (!retryable) {
-      return results;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!DemoteLocked(static_cast<size_t>(p), /*count_failover=*/true)) {
-      return results;
-    }
-  }
-  return std::vector<StatusOr<Result>>(n, Status::Unavailable("all replicas failed"));
-}
-
 StatusOr<Bytes> ReplicatedBucketStore::ReadSlot(BucketIndex bucket, uint32_t version,
                                                 SlotIndex slot) {
-  auto out = ReadWithFailover<Bytes>(
-      [&](BucketStore& store) {
-        std::vector<StatusOr<Bytes>> r;
-        r.push_back(store.ReadSlot(bucket, version, slot));
-        return r;
-      },
-      1);
-  return std::move(out[0]);
+  return set_->ReadSync<StatusOr<Bytes>>(
+      [&](BucketStore& store) { return store.ReadSlot(bucket, version, slot); },
+      [] { return StatusOr<Bytes>(Status::Unavailable("no current replica")); });
 }
 
 std::vector<StatusOr<Bytes>> ReplicatedBucketStore::ReadSlotsBatch(
     const std::vector<SlotRef>& refs) {
-  return ReadWithFailover<Bytes>(
-      [&](BucketStore& store) { return store.ReadSlotsBatch(refs); }, refs.size());
+  return set_->ReadSync<std::vector<StatusOr<Bytes>>>(
+      [&](BucketStore& store) { return store.ReadSlotsBatch(refs); },
+      NoReplica<Bytes>(refs.size()));
 }
 
 std::vector<StatusOr<PathXorResult>> ReplicatedBucketStore::ReadPathsXor(
     const std::vector<PathSlots>& paths, uint32_t header_bytes, uint32_t trailer_bytes) {
-  return ReadWithFailover<PathXorResult>(
+  return set_->ReadSync<std::vector<StatusOr<PathXorResult>>>(
       [&](BucketStore& store) { return store.ReadPathsXor(paths, header_bytes, trailer_bytes); },
-      paths.size());
+      NoReplica<PathXorResult>(paths.size()));
 }
 
-Status ReplicatedBucketStore::FinishWriteLocked(const std::vector<BucketImage>& images,
-                                                const std::vector<TruncateRef>& truncates,
-                                                uint32_t oks,
-                                                const std::vector<size_t>& retryable_failures,
-                                                Status first_error) {
+void ReplicatedBucketStore::ReadSlotsBatchAsync(std::vector<SlotRef> refs, ReadSlotsDone done) {
+  const size_t n = refs.size();
+  set_->Read<std::vector<StatusOr<Bytes>>>(
+      [refs = std::move(refs)](BucketStore& store, ReadSlotsDone answer) {
+        store.ReadSlotsBatchAsync(refs, std::move(answer));
+      },
+      NoReplica<Bytes>(n), std::move(done));
+}
+
+void ReplicatedBucketStore::ReadPathsXorAsync(std::vector<PathSlots> paths, uint32_t header_bytes,
+                                              uint32_t trailer_bytes, ReadPathsXorDone done) {
+  const size_t n = paths.size();
+  set_->Read<std::vector<StatusOr<PathXorResult>>>(
+      [paths = std::move(paths), header_bytes, trailer_bytes](BucketStore& store,
+                                                              ReadPathsXorDone answer) {
+        store.ReadPathsXorAsync(paths, header_bytes, trailer_bytes, std::move(answer));
+      },
+      NoReplica<PathXorResult>(n), std::move(done));
+}
+
+struct ReplicatedBucketStore::FanOutCtx {
+  std::mutex mu;  // guards pending and tally
+  size_t pending = 0;
+  QuorumTally tally;
+  std::vector<BucketImage> images;
+  std::vector<TruncateRef> truncates;
+  WriteBucketsDone done;
+};
+
+Status ReplicatedBucketStore::FinishWriteLocked(const FanOutCtx& ctx) {
   if (--writes_in_flight_ == 0) {
     writes_cv_.notify_all();
   }
-  for (size_t i : retryable_failures) {
+  for (size_t i : ctx.tally.failed) {
     // Demotion may be refused for the last current replica; either way the
     // replica's copy of these buckets is now suspect, so if it did get
     // demoted (now or concurrently) the marks below queue the rebuild.
-    DemoteLocked(i, /*count_failover=*/false);
+    set_->DemoteLocked(i, /*count_failover=*/false, /*demote_last=*/false);
   }
   // Mark the touched buckets dirty on every still-lagging replica AFTER the
   // wire writes have landed, never before they are issued: a heal pass that
@@ -170,62 +411,80 @@ Status ReplicatedBucketStore::FinishWriteLocked(const std::vector<BucketImage>& 
   // promotion, or runs after this point and finds the bucket dirty — either
   // way it must replay the bucket against the post-write live_ index before
   // the replica can rejoin the write set.
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i].health != ReplicaHealth::kLagging) {
+  for (Replica& r : set_->replicas) {
+    if (r.health != ReplicaHealth::kLagging) {
       continue;
     }
-    for (const BucketImage& image : images) {
-      MarkLaggingDirtyLocked(i, image.bucket);
+    for (const BucketImage& image : ctx.images) {
+      r.dirty.insert(image.bucket);
     }
-    for (const TruncateRef& ref : truncates) {
-      MarkLaggingDirtyLocked(i, ref.bucket);
+    for (const TruncateRef& ref : ctx.truncates) {
+      r.dirty.insert(ref.bucket);
     }
   }
-  if (oks >= quorum_) {
-    for (const BucketImage& image : images) {
+  Status out = ctx.tally.Outcome(set_->quorum, "write quorum not reached");
+  if (out.ok()) {
+    for (const BucketImage& image : ctx.images) {
       RecordWriteLocked(image.bucket, image.version, static_cast<uint32_t>(image.slots.size()));
     }
-    for (const TruncateRef& ref : truncates) {
+    for (const TruncateRef& ref : ctx.truncates) {
       RecordTruncateLocked(ref.bucket, ref.keep_from_version);
     }
-    return Status::Ok();
   }
-  return first_error.ok() ? Status::Unavailable("write quorum not reached") : first_error;
+  return out;
+}
+
+void ReplicatedBucketStore::FanOutWrite(std::vector<BucketImage> images,
+                                        std::vector<TruncateRef> truncates, const WriteSend& send,
+                                        WriteBucketsDone done) {
+  std::vector<size_t> targets;
+  {
+    std::lock_guard<std::mutex> lk(set_->mu);
+    targets = set_->CurrentLocked();
+    if (!targets.empty()) {
+      writes_in_flight_++;
+    }
+  }
+  if (targets.empty()) {
+    done(Status::Unavailable("no current replica"));
+    return;
+  }
+  auto ctx = std::make_shared<FanOutCtx>();
+  ctx->pending = targets.size();
+  ctx->images = std::move(images);
+  ctx->truncates = std::move(truncates);
+  ctx->done = std::move(done);
+  for (size_t i : targets) {
+    send(*set_->replicas[i].store, ctx->images, ctx->truncates, [this, ctx, i](Status s) {
+      bool last = false;
+      {
+        std::lock_guard<std::mutex> lk(ctx->mu);
+        ctx->tally.Add(i, s);
+        last = --ctx->pending == 0;
+      }
+      if (!last) {
+        return;
+      }
+      Status out;
+      {
+        std::lock_guard<std::mutex> lk(set_->mu);
+        out = FinishWriteLocked(*ctx);
+      }
+      ctx->done(std::move(out));
+    });
+  }
 }
 
 Status ReplicatedBucketStore::WriteBucketsBatch(std::vector<BucketImage> images) {
-  std::vector<size_t> targets;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.push_back(i);
-      }
-    }
-    if (targets.empty()) {
-      return Status::Unavailable("no current replica");
-    }
-    writes_in_flight_++;
-  }
-  uint32_t oks = 0;
-  Status first_error = Status::Ok();
-  std::vector<size_t> failed;
-  for (size_t i : targets) {
-    std::vector<BucketImage> copy = images;
-    Status s = replicas_[i].store->WriteBucketsBatch(std::move(copy));
-    if (s.ok()) {
-      oks++;
-    } else {
-      if (first_error.ok()) {
-        first_error = s;
-      }
-      if (IsReplicaRetryable(s)) {
-        failed.push_back(i);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  return FinishWriteLocked(images, {}, oks, failed, std::move(first_error));
+  Status out;
+  FanOutWrite(
+      std::move(images), {},
+      [](BucketStore& store, const std::vector<BucketImage>& batch,
+         const std::vector<TruncateRef>&, WriteBucketsDone answer) {
+        answer(store.WriteBucketsBatch(batch));
+      },
+      [&out](Status s) { out = std::move(s); });
+  return out;
 }
 
 Status ReplicatedBucketStore::WriteBucket(BucketIndex bucket, uint32_t version,
@@ -236,296 +495,64 @@ Status ReplicatedBucketStore::WriteBucket(BucketIndex bucket, uint32_t version,
 }
 
 Status ReplicatedBucketStore::TruncateBucketsBatch(const std::vector<TruncateRef>& refs) {
-  std::vector<size_t> targets;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.push_back(i);
-      }
-    }
-    if (targets.empty()) {
-      return Status::Unavailable("no current replica");
-    }
-    writes_in_flight_++;
-  }
-  uint32_t oks = 0;
-  Status first_error = Status::Ok();
-  std::vector<size_t> failed;
-  for (size_t i : targets) {
-    Status s = replicas_[i].store->TruncateBucketsBatch(refs);
-    if (s.ok()) {
-      oks++;
-    } else {
-      if (first_error.ok()) {
-        first_error = s;
-      }
-      if (IsReplicaRetryable(s)) {
-        failed.push_back(i);
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  return FinishWriteLocked({}, refs, oks, failed, std::move(first_error));
+  Status out;
+  FanOutWrite(
+      {}, refs,
+      [](BucketStore& store, const std::vector<BucketImage>&,
+         const std::vector<TruncateRef>& batch, WriteBucketsDone answer) {
+        answer(store.TruncateBucketsBatch(batch));
+      },
+      [&out](Status s) { out = std::move(s); });
+  return out;
 }
 
 Status ReplicatedBucketStore::TruncateBucket(BucketIndex bucket, uint32_t keep_from_version) {
   return TruncateBucketsBatch({TruncateRef{bucket, keep_from_version}});
 }
 
+void ReplicatedBucketStore::WriteBucketsBatchAsync(std::vector<BucketImage> images,
+                                                   WriteBucketsDone done) {
+  FanOutWrite(
+      std::move(images), {},
+      [](BucketStore& store, const std::vector<BucketImage>& batch,
+         const std::vector<TruncateRef>&, WriteBucketsDone answer) {
+        store.WriteBucketsBatchAsync(batch, std::move(answer));
+      },
+      std::move(done));
+}
+
 bool ReplicatedBucketStore::SupportsAsyncBatches() const {
-  for (const Replica& r : replicas_) {
+  for (const Replica& r : set_->replicas) {
     if (!r.store->SupportsAsyncBatches()) {
       return false;
     }
   }
-  return !replicas_.empty();
-}
-
-struct ReplicatedBucketStore::AsyncReadCtx {
-  std::vector<SlotRef> refs;
-  ReadSlotsDone done;
-  size_t attempts = 0;
-};
-
-void ReplicatedBucketStore::SubmitReadSlots(std::shared_ptr<AsyncReadCtx> ctx) {
-  std::shared_ptr<BucketStore> primary;
-  int p = -1;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    p = PrimaryIndexLocked();
-    if (p >= 0) {
-      primary = replicas_[static_cast<size_t>(p)].store;
-    }
-  }
-  if (p < 0) {
-    ctx->done(std::vector<StatusOr<Bytes>>(ctx->refs.size(),
-                                           Status::Unavailable("no current replica")));
-    return;
-  }
-  std::vector<SlotRef> refs = ctx->refs;
-  primary->ReadSlotsBatchAsync(
-      std::move(refs), [this, ctx, p](std::vector<StatusOr<Bytes>> results) {
-        bool retryable = false;
-        for (const StatusOr<Bytes>& r : results) {
-          if (!r.ok() && IsReplicaRetryable(r.status())) {
-            retryable = true;
-            break;
-          }
-        }
-        if (retryable && ctx->attempts < replicas_.size()) {
-          bool again = false;
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            again = DemoteLocked(static_cast<size_t>(p), /*count_failover=*/true);
-          }
-          if (again) {
-            ctx->attempts++;
-            SubmitReadSlots(ctx);
-            return;
-          }
-        }
-        ctx->done(std::move(results));
-      });
-}
-
-void ReplicatedBucketStore::ReadSlotsBatchAsync(std::vector<SlotRef> refs, ReadSlotsDone done) {
-  auto ctx = std::make_shared<AsyncReadCtx>();
-  ctx->refs = std::move(refs);
-  ctx->done = std::move(done);
-  SubmitReadSlots(std::move(ctx));
-}
-
-struct ReplicatedBucketStore::AsyncXorCtx {
-  std::vector<PathSlots> paths;
-  uint32_t header_bytes = 0;
-  uint32_t trailer_bytes = 0;
-  ReadPathsXorDone done;
-  size_t attempts = 0;
-};
-
-void ReplicatedBucketStore::SubmitReadPathsXor(std::shared_ptr<AsyncXorCtx> ctx) {
-  std::shared_ptr<BucketStore> primary;
-  int p = -1;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    p = PrimaryIndexLocked();
-    if (p >= 0) {
-      primary = replicas_[static_cast<size_t>(p)].store;
-    }
-  }
-  if (p < 0) {
-    ctx->done(std::vector<StatusOr<PathXorResult>>(ctx->paths.size(),
-                                                   Status::Unavailable("no current replica")));
-    return;
-  }
-  std::vector<PathSlots> paths = ctx->paths;
-  primary->ReadPathsXorAsync(
-      std::move(paths), ctx->header_bytes, ctx->trailer_bytes,
-      [this, ctx, p](std::vector<StatusOr<PathXorResult>> results) {
-        bool retryable = false;
-        for (const StatusOr<PathXorResult>& r : results) {
-          if (!r.ok() && IsReplicaRetryable(r.status())) {
-            retryable = true;
-            break;
-          }
-        }
-        if (retryable && ctx->attempts < replicas_.size()) {
-          bool again = false;
-          {
-            std::lock_guard<std::mutex> lk(mu_);
-            again = DemoteLocked(static_cast<size_t>(p), /*count_failover=*/true);
-          }
-          if (again) {
-            ctx->attempts++;
-            SubmitReadPathsXor(ctx);
-            return;
-          }
-        }
-        ctx->done(std::move(results));
-      });
-}
-
-void ReplicatedBucketStore::ReadPathsXorAsync(std::vector<PathSlots> paths, uint32_t header_bytes,
-                                              uint32_t trailer_bytes, ReadPathsXorDone done) {
-  auto ctx = std::make_shared<AsyncXorCtx>();
-  ctx->paths = std::move(paths);
-  ctx->header_bytes = header_bytes;
-  ctx->trailer_bytes = trailer_bytes;
-  ctx->done = std::move(done);
-  SubmitReadPathsXor(std::move(ctx));
-}
-
-struct ReplicatedBucketStore::AsyncWriteCtx {
-  std::mutex mu;
-  size_t pending = 0;
-  uint32_t oks = 0;
-  Status first_error;
-  std::vector<size_t> failed;
-  std::vector<BucketImage> images;
-  WriteBucketsDone done;
-};
-
-void ReplicatedBucketStore::WriteBucketsBatchAsync(std::vector<BucketImage> images,
-                                                   WriteBucketsDone done) {
-  std::vector<size_t> targets;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.push_back(i);
-      }
-    }
-    if (!targets.empty()) {
-      writes_in_flight_++;
-    }
-  }
-  if (targets.empty()) {
-    done(Status::Unavailable("no current replica"));
-    return;
-  }
-  auto ctx = std::make_shared<AsyncWriteCtx>();
-  ctx->pending = targets.size();
-  ctx->images = std::move(images);
-  ctx->done = std::move(done);
-  for (size_t i : targets) {
-    std::vector<BucketImage> copy = ctx->images;
-    replicas_[i].store->WriteBucketsBatchAsync(std::move(copy), [this, ctx, i](Status s) {
-      bool last = false;
-      {
-        std::lock_guard<std::mutex> lk(ctx->mu);
-        if (s.ok()) {
-          ctx->oks++;
-        } else {
-          if (ctx->first_error.ok()) {
-            ctx->first_error = s;
-          }
-          if (IsReplicaRetryable(s)) {
-            ctx->failed.push_back(i);
-          }
-        }
-        last = --ctx->pending == 0;
-      }
-      if (!last) {
-        return;
-      }
-      Status out;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        out = FinishWriteLocked(ctx->images, {}, ctx->oks, ctx->failed, ctx->first_error);
-      }
-      ctx->done(std::move(out));
-    });
-  }
+  return !set_->replicas.empty();
 }
 
 size_t ReplicatedBucketStore::num_buckets() const {
-  return replicas_.empty() ? 0 : replicas_[0].store->num_buckets();
+  return set_->replicas.empty() ? 0 : set_->replicas[0].store->num_buckets();
 }
 
 ReplicationStats ReplicatedBucketStore::replication_stats() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ReplicationStats out;
-  out.failovers = failovers_;
-  out.resyncs = resyncs_;
-  out.resync_epochs = resync_epochs_;
-  out.generation = generation_;
-  int primary = PrimaryIndexLocked();
-  out.replicas.reserve(replicas_.size());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    ReplicaInfo info;
-    info.index = static_cast<uint32_t>(i);
-    info.primary = static_cast<int>(i) == primary;
-    info.health = replicas_[i].health;
-    info.lag_epochs = replicas_[i].health == ReplicaHealth::kCurrent
-                          ? 0
-                          : (epoch_ > replicas_[i].lag_start_epoch
-                                 ? epoch_ - replicas_[i].lag_start_epoch
-                                 : 0);
-    info.stats = replicas_[i].store->network_stats();
-    out.replicas.push_back(info);
-  }
-  return out;
+  return set_->Stats();
 }
 
 void ReplicatedBucketStore::NoteEpochRetired(EpochId epoch) {
-  std::lock_guard<std::mutex> lk(mu_);
-  epoch_ = std::max<uint64_t>(epoch_, epoch);
+  set_->NoteEpochRetired(epoch);
 }
 
 Status ReplicatedBucketStore::TryHealReplicas() {
-  Status first = Status::Ok();
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    Status s = HealReplica(i);
-    if (!s.ok() && first.ok()) {
-      first = s;
-    }
-  }
-  return first;
+  return set_->HealEach([this](size_t index) { return HealReplica(index); });
 }
 
 Status ReplicatedBucketStore::HealReplica(size_t index) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    Replica& r = replicas_[index];
-    if (r.health != ReplicaHealth::kLagging || r.healing) {
-      return Status::Ok();
-    }
-    r.healing = true;
-  }
-  Status s = HealReplicaImpl(index);
-  std::lock_guard<std::mutex> lk(mu_);
-  replicas_[index].healing = false;
-  return s;
-}
-
-Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
-  std::shared_ptr<BucketStore> healer = replicas_[index].store;
+  std::shared_ptr<BucketStore> healer = set_->replicas[index].store;
   for (int round = 0; round < kMaxHealRounds; ++round) {
     std::set<BucketIndex> batch;
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      Replica& r = replicas_[index];
+      std::lock_guard<std::mutex> lk(set_->mu);
+      Replica& r = set_->replicas[index];
       if (r.health != ReplicaHealth::kLagging) {
         return Status::Ok();
       }
@@ -542,7 +569,7 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
       // real read path.
       SlotRef probe_ref{0, 0, 0};
       {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(set_->mu);
         for (size_t b = 0; b < live_.size(); ++b) {
           if (!live_[b].empty()) {
             probe_ref = SlotRef{static_cast<BucketIndex>(b), live_[b].begin()->first, 0};
@@ -555,8 +582,8 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
       if (!probe.ok() && IsReplicaRetryable(probe.status())) {
         return probe.status();
       }
-      std::unique_lock<std::mutex> lk(mu_);
-      Replica& r = replicas_[index];
+      std::unique_lock<std::mutex> lk(set_->mu);
+      Replica& r = set_->replicas[index];
       if (r.health != ReplicaHealth::kLagging) {
         return Status::Ok();
       }
@@ -572,11 +599,7 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
       if (!r.dirty.empty()) {
         continue;  // raced a concurrent write; another round
       }
-      uint64_t lag = epoch_ > r.lag_start_epoch ? epoch_ - r.lag_start_epoch : 0;
-      r.health = ReplicaHealth::kCurrent;
-      resyncs_++;
-      resync_epochs_ += lag > 0 ? lag : 1;
-      generation_++;
+      set_->PromoteLocked(index);
       return Status::Ok();
     }
     Status replay = Status::Ok();
@@ -587,7 +610,7 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
       // fine: any concurrent write/truncate re-marks the bucket dirty.
       std::map<uint32_t, uint32_t> versions;
       {
-        std::lock_guard<std::mutex> lk(mu_);
+        std::lock_guard<std::mutex> lk(set_->mu);
         if (bucket < live_.size()) {
           versions = live_[bucket];
         }
@@ -634,9 +657,9 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
       }
     }
     if (!replay.ok()) {
-      std::lock_guard<std::mutex> lk(mu_);
+      std::lock_guard<std::mutex> lk(set_->mu);
       for (BucketIndex bucket : batch) {
-        replicas_[index].dirty.insert(bucket);
+        set_->replicas[index].dirty.insert(bucket);
       }
       return replay;
     }
@@ -646,64 +669,38 @@ Status ReplicatedBucketStore::HealReplicaImpl(size_t index) {
 
 // --- ReplicatedLogStore -----------------------------------------------------
 
+struct ReplicatedLogStore::Replica : ReplicaBase<LogStore> {
+  // Global index (ops_base_-relative deque offsetting) of the next op this
+  // replica needs. Current replicas always sit at the buffer end.
+  uint64_t next_op = 0;
+  // The op at next_op is an append whose fate is unknown (the transport
+  // failed after send). Catch-up probes NextLsn() before replaying.
+  bool ambiguous = false;
+};
+
 ReplicatedLogStore::ReplicatedLogStore(std::vector<std::shared_ptr<LogStore>> replicas,
                                        ReplicatedStoreOptions options)
-    : options_(options),
-      quorum_(std::clamp<uint32_t>(options.write_quorum, 1,
-                                   static_cast<uint32_t>(std::max<size_t>(replicas.size(), 1)))) {
-  replicas_.reserve(replicas.size());
-  for (auto& store : replicas) {
-    Replica r;
-    r.store = std::move(store);
+    : set_(std::make_unique<ReplicaSet<Replica>>(std::move(replicas), options.write_quorum)) {
+  for (const Replica& r : set_->replicas) {
     next_lsn_ = std::max(next_lsn_, r.store->NextLsn());
-    replicas_.push_back(std::move(r));
   }
 }
 
-int ReplicatedLogStore::PrimaryIndexLocked() const {
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    if (replicas_[i].health == ReplicaHealth::kCurrent) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
+ReplicatedLogStore::~ReplicatedLogStore() = default;
 
 int ReplicatedLogStore::PrimaryIndexForTest() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return PrimaryIndexLocked();
+  return set_->PrimaryIndex();
 }
 
-bool ReplicatedLogStore::DemoteLocked(size_t index, bool ambiguous, bool count_failover,
-                                      bool demote_last) {
-  if (replicas_[index].health != ReplicaHealth::kCurrent) {
-    return PrimaryIndexLocked() >= 0;
-  }
-  if (!demote_last) {
-    size_t current = 0;
-    for (const Replica& r : replicas_) {
-      current += r.health == ReplicaHealth::kCurrent;
-    }
-    if (current <= 1) {
-      return false;
-    }
-  }
-  const bool was_primary = PrimaryIndexLocked() == static_cast<int>(index);
-  Replica& r = replicas_[index];
-  r.health = ReplicaHealth::kLagging;
-  r.lag_start_epoch = epoch_;
-  r.ambiguous = ambiguous;
-  generation_++;
-  if (count_failover || was_primary) {
-    failovers_++;
-  }
-  return PrimaryIndexLocked() >= 0;
+size_t ReplicatedLogStore::BufferedBytesForTest() {
+  std::lock_guard<std::mutex> lk(set_->mu);
+  return ops_bytes_;
 }
 
 void ReplicatedLogStore::TrimOpsLocked() {
   auto min_live_cursor = [&] {
     uint64_t min_cursor = ops_base_ + ops_.size();
-    for (const Replica& r : replicas_) {
+    for (const Replica& r : set_->replicas) {
       if (r.health != ReplicaHealth::kDead) {
         min_cursor = std::min(min_cursor, r.next_op);
       }
@@ -720,108 +717,112 @@ void ReplicatedLogStore::TrimOpsLocked() {
   trim_to(min_live_cursor());
   // A replica too far behind would pin the buffer forever; past the byte
   // cap it is unsalvageable by replay and gets excluded instead.
-  while (ops_bytes_ > options_.max_pending_log_bytes) {
-    size_t victim = replicas_.size();
+  while (ops_bytes_ > kMaxPendingLogBytes) {
+    size_t victim = set_->replicas.size();
     uint64_t lowest = UINT64_MAX;
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kLagging && replicas_[i].next_op < lowest) {
-        lowest = replicas_[i].next_op;
+    for (size_t i = 0; i < set_->replicas.size(); ++i) {
+      const Replica& r = set_->replicas[i];
+      if (r.health == ReplicaHealth::kLagging && r.next_op < lowest) {
+        lowest = r.next_op;
         victim = i;
       }
     }
-    if (victim == replicas_.size()) {
+    if (victim == set_->replicas.size()) {
       break;
     }
-    replicas_[victim].health = ReplicaHealth::kDead;
-    generation_++;
+    set_->KillLocked(victim);
     trim_to(min_live_cursor());
   }
 }
 
-StatusOr<uint64_t> ReplicatedLogStore::AppendImpl(Bytes record, bool fused_sync) {
-  // io_mu_ (not mu_) is held across the wire phase: see the member comment.
-  // Appends therefore still fully serialize with each other — the LSN each
-  // replica assigns must match the send order — but observers (NextLsn,
-  // replication_stats) and heal bookkeeping no longer stall behind a slow
-  // replica's transport deadline.
-  std::lock_guard<std::mutex> io(io_mu_);
+Status ReplicatedLogStore::FanOut(Op* op, bool fused_sync) {
+  // The op is buffered for lagging replicas — and an append takes its LSN —
+  // in the same set_->mu section that picks the targets, so every replica
+  // sees ops in buffer order. io_mu_ (held by the caller, not set_->mu) is
+  // what spans the wire phase: see the member comment.
   std::vector<std::pair<size_t, std::shared_ptr<LogStore>>> targets;
-  uint64_t lsn = 0;
   uint64_t end = 0;
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.emplace_back(i, replicas_[i].store);
-      }
+    std::lock_guard<std::mutex> lk(set_->mu);
+    for (size_t i : set_->CurrentLocked()) {
+      targets.emplace_back(i, set_->replicas[i].store);
     }
     if (targets.empty()) {
       return Status::Unavailable("no current log replica");
     }
-    lsn = next_lsn_++;
-    ops_bytes_ += record.size();
-    ops_.push_back(Op{false, lsn, record});
-    end = ops_base_ + ops_.size();
+    if (op != nullptr) {
+      if (!op->truncate) {
+        op->lsn_or_upto = next_lsn_++;
+        ops_bytes_ += op->record.size();
+      }
+      ops_.push_back(*op);
+      end = ops_base_ + ops_.size();
+    }
   }
-  uint32_t oks = 0;
-  Status first_error = Status::Ok();
+  const bool append = op != nullptr && !op->truncate;
+  QuorumTally tally;
   std::vector<size_t> acked;
   std::vector<size_t> diverged;
-  std::vector<size_t> failed;
   for (auto& [i, store] : targets) {
-    StatusOr<uint64_t> got = fused_sync ? store->AppendSync(record) : store->Append(record);
-    if (got.ok()) {
-      if (*got != lsn) {
+    Status s;
+    if (append) {
+      StatusOr<uint64_t> got = fused_sync ? store->AppendSync(op->record)
+                                          : store->Append(op->record);
+      s = got.status();
+      if (got.ok() && *got != op->lsn_or_upto) {
         // The replica assigned a different LSN: it lost or gained records
         // relative to the acknowledged history and cannot be replay-healed.
         diverged.push_back(i);
-        if (first_error.ok()) {
-          first_error = Status::DataLoss("log replica LSN divergence");
-        }
-      } else {
-        acked.push_back(i);
-        oks++;
+        s = Status::DataLoss("log replica LSN divergence");
       }
     } else {
-      if (first_error.ok()) {
-        first_error = got.status();
-      }
-      if (IsReplicaRetryable(got.status())) {
-        failed.push_back(i);
-      }
+      s = op == nullptr ? store->Sync() : store->Truncate(op->lsn_or_upto);
+    }
+    if (tally.Add(i, s)) {
+      acked.push_back(i);
     }
   }
   {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i : acked) {
-      replicas_[i].next_op = end;
-    }
+    std::lock_guard<std::mutex> lk(set_->mu);
     for (size_t i : diverged) {
-      if (replicas_[i].health != ReplicaHealth::kDead) {
-        replicas_[i].health = ReplicaHealth::kDead;
-        generation_++;
-      }
+      set_->KillLocked(i);
     }
-    for (size_t i : failed) {
-      // Fate of the send is unknown (at-most-once): flag the cursor as
-      // ambiguous so catch-up probes NextLsn() before replaying. A read
+    for (size_t i : tally.failed) {
+      // A missed append or truncate must demote even the last current
+      // replica (the LSN bookkeeping cannot keep serving past a missed op);
+      // Sync carries no record, so the cursor stays exact and the last
+      // replica keeps serving — catch-up re-Syncs before promoting. Only an
+      // append is in doubt (at-most-once; truncation is idempotent): flag
+      // the cursor so catch-up probes NextLsn() before replaying. A read
       // path may have demoted the replica while our send was in flight —
-      // the in-doubt op still sits at its cursor, so the flag must be set
-      // even when DemoteLocked short-circuits on an already-lagging one.
-      Replica& r = replicas_[i];
-      if (r.health == ReplicaHealth::kCurrent) {
-        DemoteLocked(i, /*ambiguous=*/true, /*count_failover=*/false, /*demote_last=*/true);
-      } else if (r.health == ReplicaHealth::kLagging) {
-        r.ambiguous = true;
+      // the in-doubt op still sits at its cursor, so the flag is set on any
+      // lagging replica, not just one demoted here.
+      set_->DemoteLocked(i, /*count_failover=*/false, /*demote_last=*/op != nullptr);
+      if (append && set_->replicas[i].health == ReplicaHealth::kLagging) {
+        set_->replicas[i].ambiguous = true;
       }
     }
-    TrimOpsLocked();
+    if (op != nullptr) {
+      for (size_t i : acked) {
+        set_->replicas[i].next_op = end;
+      }
+      TrimOpsLocked();
+    }
   }
-  if (oks >= quorum_) {
-    return lsn;
-  }
-  return first_error.ok() ? Status::Unavailable("log append quorum not reached")
-                          : std::move(first_error);
+  return tally.Outcome(set_->quorum, op == nullptr  ? "log sync quorum not reached"
+                                    : op->truncate ? "log truncate quorum not reached"
+                                                   : "log append quorum not reached");
+}
+
+StatusOr<uint64_t> ReplicatedLogStore::AppendImpl(Bytes record, bool fused_sync) {
+  // Appends fully serialize with each other on io_mu_ — the LSN each replica
+  // assigns must match the send order — but observers (NextLsn,
+  // replication_stats) and heal bookkeeping never stall behind a slow
+  // replica's transport deadline.
+  std::lock_guard<std::mutex> io(io_mu_);
+  Op op{false, 0, std::move(record)};
+  OBLADI_RETURN_IF_ERROR(FanOut(&op, fused_sync));
+  return op.lsn_or_upto;
 }
 
 StatusOr<uint64_t> ReplicatedLogStore::Append(Bytes record) {
@@ -834,192 +835,40 @@ StatusOr<uint64_t> ReplicatedLogStore::AppendSync(Bytes record) {
 
 Status ReplicatedLogStore::Sync() {
   std::lock_guard<std::mutex> io(io_mu_);
-  std::vector<std::pair<size_t, std::shared_ptr<LogStore>>> targets;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.emplace_back(i, replicas_[i].store);
-      }
-    }
-  }
-  if (targets.empty()) {
-    return Status::Unavailable("no current log replica");
-  }
-  uint32_t oks = 0;
-  Status first_error = Status::Ok();
-  std::vector<size_t> failed;
-  for (auto& [i, store] : targets) {
-    Status s = store->Sync();
-    if (s.ok()) {
-      oks++;
-    } else {
-      if (first_error.ok()) {
-        first_error = s;
-      }
-      if (IsReplicaRetryable(s)) {
-        failed.push_back(i);
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i : failed) {
-      // Not ambiguous: Sync carries no record, the cursor stays exact.
-      // Catch-up re-Syncs before promoting, restoring durability.
-      DemoteLocked(i, /*ambiguous=*/false, /*count_failover=*/false, /*demote_last=*/false);
-    }
-  }
-  if (oks >= quorum_) {
-    return Status::Ok();
-  }
-  return first_error.ok() ? Status::Unavailable("log sync quorum not reached")
-                          : std::move(first_error);
+  return FanOut(nullptr, /*fused_sync=*/false);
 }
 
 Status ReplicatedLogStore::Truncate(uint64_t upto_lsn) {
   std::lock_guard<std::mutex> io(io_mu_);
-  std::vector<std::pair<size_t, std::shared_ptr<LogStore>>> targets;
-  uint64_t end = 0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i = 0; i < replicas_.size(); ++i) {
-      if (replicas_[i].health == ReplicaHealth::kCurrent) {
-        targets.emplace_back(i, replicas_[i].store);
-      }
-    }
-    if (targets.empty()) {
-      return Status::Unavailable("no current log replica");
-    }
-    ops_.push_back(Op{true, upto_lsn, {}});
-    end = ops_base_ + ops_.size();
-  }
-  uint32_t oks = 0;
-  Status first_error = Status::Ok();
-  std::vector<size_t> acked;
-  std::vector<size_t> failed;
-  for (auto& [i, store] : targets) {
-    Status s = store->Truncate(upto_lsn);
-    if (s.ok()) {
-      acked.push_back(i);
-      oks++;
-    } else {
-      if (first_error.ok()) {
-        first_error = s;
-      }
-      if (IsReplicaRetryable(s)) {
-        failed.push_back(i);
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (size_t i : acked) {
-      replicas_[i].next_op = end;
-    }
-    for (size_t i : failed) {
-      // Truncation is idempotent, so no ambiguity: replay just reissues.
-      DemoteLocked(i, /*ambiguous=*/false, /*count_failover=*/false, /*demote_last=*/true);
-    }
-    TrimOpsLocked();
-  }
-  if (oks >= quorum_) {
-    return Status::Ok();
-  }
-  return first_error.ok() ? Status::Unavailable("log truncate quorum not reached")
-                          : std::move(first_error);
+  Op op{true, upto_lsn, {}};
+  return FanOut(&op, /*fused_sync=*/false);
 }
 
 StatusOr<std::vector<Bytes>> ReplicatedLogStore::ReadAll() {
-  for (size_t attempt = 0; attempt <= replicas_.size(); ++attempt) {
-    std::shared_ptr<LogStore> primary;
-    int p = -1;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      p = PrimaryIndexLocked();
-      if (p >= 0) {
-        primary = replicas_[static_cast<size_t>(p)].store;
-      }
-    }
-    if (p < 0) {
-      return Status::Unavailable("no current log replica");
-    }
-    StatusOr<std::vector<Bytes>> result = primary->ReadAll();
-    if (result.ok() || !IsReplicaRetryable(result.status())) {
-      return result;
-    }
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!DemoteLocked(static_cast<size_t>(p), /*ambiguous=*/false, /*count_failover=*/true,
-                      /*demote_last=*/false)) {
-      return result;
-    }
-  }
-  return Status::Unavailable("all log replicas failed");
+  return set_->ReadSync<StatusOr<std::vector<Bytes>>>(
+      [](LogStore& store) { return store.ReadAll(); },
+      [] { return StatusOr<std::vector<Bytes>>(Status::Unavailable("no current log replica")); });
 }
 
 uint64_t ReplicatedLogStore::NextLsn() const {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(set_->mu);
   return next_lsn_;
 }
 
 ReplicationStats ReplicatedLogStore::replication_stats() {
-  std::lock_guard<std::mutex> lk(mu_);
-  ReplicationStats out;
-  out.failovers = failovers_;
-  out.resyncs = resyncs_;
-  out.resync_epochs = resync_epochs_;
-  out.generation = generation_;
-  int primary = PrimaryIndexLocked();
-  out.replicas.reserve(replicas_.size());
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    ReplicaInfo info;
-    info.index = static_cast<uint32_t>(i);
-    info.primary = static_cast<int>(i) == primary;
-    info.health = replicas_[i].health;
-    info.lag_epochs = replicas_[i].health == ReplicaHealth::kCurrent
-                          ? 0
-                          : (epoch_ > replicas_[i].lag_start_epoch
-                                 ? epoch_ - replicas_[i].lag_start_epoch
-                                 : 0);
-    info.stats = replicas_[i].store->network_stats();
-    out.replicas.push_back(info);
-  }
-  return out;
+  return set_->Stats();
 }
 
 void ReplicatedLogStore::NoteEpochRetired(EpochId epoch) {
-  std::lock_guard<std::mutex> lk(mu_);
-  epoch_ = std::max<uint64_t>(epoch_, epoch);
+  set_->NoteEpochRetired(epoch);
 }
 
 Status ReplicatedLogStore::TryHealReplicas() {
-  Status first = Status::Ok();
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    Status s = HealReplica(i);
-    if (!s.ok() && first.ok()) {
-      first = s;
-    }
-  }
-  return first;
+  return set_->HealEach([this](size_t index) { return HealReplica(index); });
 }
 
 Status ReplicatedLogStore::HealReplica(size_t index) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    Replica& r = replicas_[index];
-    if (r.health != ReplicaHealth::kLagging || r.healing) {
-      return Status::Ok();
-    }
-    r.healing = true;
-  }
-  Status s = HealReplicaImpl(index);
-  std::lock_guard<std::mutex> lk(mu_);
-  replicas_[index].healing = false;
-  return s;
-}
-
-Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
-  std::shared_ptr<LogStore> store = replicas_[index].store;
+  std::shared_ptr<LogStore> store = set_->replicas[index].store;
   for (int round = 0; round < kMaxHealRounds; ++round) {
     std::vector<Op> chunk;
     bool ambiguous = false;
@@ -1034,16 +883,16 @@ Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
       // before the replay RPCs — while the replica lags, replay is the only
       // sender, so appends continue unblocked.
       std::lock_guard<std::mutex> io(io_mu_);
-      std::lock_guard<std::mutex> lk(mu_);
-      Replica& r = replicas_[index];
+      std::lock_guard<std::mutex> lk(set_->mu);
+      Replica& r = set_->replicas[index];
       if (r.health != ReplicaHealth::kLagging) {
         return Status::Ok();
       }
       cursor = r.next_op;
       ambiguous = r.ambiguous;
       const uint64_t end = ops_base_ + ops_.size();
-      size_t take = static_cast<size_t>(std::min<uint64_t>(
-          end - cursor, ambiguous ? 1 : options_.log_replay_chunk));
+      size_t take = static_cast<size_t>(
+          std::min<uint64_t>(end - cursor, ambiguous ? 1 : kLogReplayChunk));
       chunk.reserve(take);
       for (size_t k = 0; k < take; ++k) {
         chunk.push_back(ops_[static_cast<size_t>(cursor - ops_base_) + k]);
@@ -1056,8 +905,8 @@ Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
       // 0 when unreachable, which must not read as "did not land".
       OBLADI_RETURN_IF_ERROR(store->Sync());
       uint64_t next = store->NextLsn();
-      std::lock_guard<std::mutex> lk(mu_);
-      Replica& r = replicas_[index];
+      std::lock_guard<std::mutex> lk(set_->mu);
+      Replica& r = set_->replicas[index];
       if (r.health != ReplicaHealth::kLagging) {
         return Status::Ok();
       }
@@ -1075,8 +924,7 @@ Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
       } else if (next == lsn) {
         r.ambiguous = false;  // it did not land; replay will reissue it
       } else {
-        r.health = ReplicaHealth::kDead;
-        generation_++;
+        set_->KillLocked(index);
         return Status::DataLoss("log replica lost acknowledged records");
       }
       continue;
@@ -1085,19 +933,15 @@ Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
       // Caught up. Make everything durable, then promote — unless new ops
       // raced in, in which case another round replays them first.
       OBLADI_RETURN_IF_ERROR(store->Sync());
-      std::lock_guard<std::mutex> lk(mu_);
-      Replica& r = replicas_[index];
+      std::lock_guard<std::mutex> lk(set_->mu);
+      Replica& r = set_->replicas[index];
       if (r.health != ReplicaHealth::kLagging) {
         return Status::Ok();
       }
       if (r.next_op != ops_base_ + ops_.size() || r.ambiguous) {
         continue;
       }
-      uint64_t lag = epoch_ > r.lag_start_epoch ? epoch_ - r.lag_start_epoch : 0;
-      r.health = ReplicaHealth::kCurrent;
-      resyncs_++;
-      resync_epochs_ += lag > 0 ? lag : 1;
-      generation_++;
+      set_->PromoteLocked(index);
       TrimOpsLocked();
       return Status::Ok();
     }
@@ -1113,24 +957,23 @@ Status ReplicatedLogStore::HealReplicaImpl(size_t index) {
         StatusOr<uint64_t> got = store->Append(op.record);
         if (!got.ok()) {
           err = got.status();
-          std::lock_guard<std::mutex> lk(mu_);
-          Replica& r = replicas_[index];
+          std::lock_guard<std::mutex> lk(set_->mu);
+          Replica& r = set_->replicas[index];
           r.next_op = cursor + applied;
           r.ambiguous = true;  // this replayed append is now the in-doubt op
           return err;
         }
         if (*got != op.lsn_or_upto) {
-          std::lock_guard<std::mutex> lk(mu_);
-          replicas_[index].health = ReplicaHealth::kDead;
-          generation_++;
+          std::lock_guard<std::mutex> lk(set_->mu);
+          set_->KillLocked(index);
           return Status::DataLoss("log replica LSN divergence during catch-up");
         }
       }
       applied++;
     }
     {
-      std::lock_guard<std::mutex> lk(mu_);
-      replicas_[index].next_op = cursor + applied;
+      std::lock_guard<std::mutex> lk(set_->mu);
+      set_->replicas[index].next_op = cursor + applied;
       TrimOpsLocked();
     }
     if (!err.ok()) {

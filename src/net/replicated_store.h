@@ -11,6 +11,13 @@
 // fails a write or a read is demoted to *lagging*: it stops receiving
 // traffic and accumulates a catch-up obligation instead.
 //
+// Both stores run on one health core, ReplicaSet: the current/lagging/dead
+// states, primary selection, demotion and promotion accounting, lag epochs,
+// replication_stats(), the heal loop and its per-replica healing guard, and
+// the one read-failover routine every read entry point (sync or async,
+// bucket or WAL) goes through. Each store keeps only its write fan-out and
+// its catch-up model.
+//
 // Catch-up is epoch replay, not op shipping. For buckets, shadow paging
 // makes the live state fully described by "which versions of which buckets
 // exist" — the store tracks that index for every acknowledged write, marks
@@ -34,10 +41,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -50,12 +57,6 @@ struct ReplicatedStoreOptions {
   // [1, R]). With quorum < R a write can succeed while a minority replica
   // is down — the down replica is demoted and caught up later.
   uint32_t write_quorum = 1;
-  // WAL catch-up buffer cap: once the ordered op tail a lagging replica
-  // still needs exceeds this many bytes, that replica is marked dead
-  // instead of stalling trim forever.
-  size_t max_pending_log_bytes = 64ull << 20;
-  // Max ops replayed per locked-snapshot round during WAL catch-up.
-  size_t log_replay_chunk = 256;
 };
 
 // True for the transport-level failures that justify demoting a replica.
@@ -63,10 +64,15 @@ inline bool IsReplicaRetryable(const Status& s) {
   return s.code() == StatusCode::kUnavailable || s.code() == StatusCode::kDeadlineExceeded;
 }
 
+// Replica health core shared by both stores; defined in the .cc.
+template <typename Replica>
+class ReplicaSet;
+
 class ReplicatedBucketStore : public BucketStore {
  public:
   ReplicatedBucketStore(std::vector<std::shared_ptr<BucketStore>> replicas,
                         ReplicatedStoreOptions options = {});
+  ~ReplicatedBucketStore() override;
 
   StatusOr<Bytes> ReadSlot(BucketIndex bucket, uint32_t version, SlotIndex slot) override;
   std::vector<StatusOr<Bytes>> ReadSlotsBatch(const std::vector<SlotRef>& refs) override;
@@ -97,50 +103,27 @@ class ReplicatedBucketStore : public BucketStore {
   int PrimaryIndexForTest();
 
  private:
-  struct Replica {
-    std::shared_ptr<BucketStore> store;
-    ReplicaHealth health = ReplicaHealth::kCurrent;
-    uint64_t lag_start_epoch = 0;
-    // A heal pass is in flight for this replica (K shard views share one
-    // replica set and may all kick TryHealReplicas; only one pass runs).
-    bool healing = false;
-    // Buckets whose state on this replica is stale (missed writes/truncates
-    // while lagging). Epoch replay rebuilds exactly these.
-    std::set<BucketIndex> dirty;
-  };
+  struct Replica;
+  // How a write fan-out reaches one replica: the sync and async entry
+  // points differ only here.
+  using WriteSend =
+      std::function<void(BucketStore&, const std::vector<BucketImage>&,
+                         const std::vector<TruncateRef>&, WriteBucketsDone)>;
+  struct FanOutCtx;
 
-  int PrimaryIndexLocked() const;
-  // Demote `index` after a retryable failure; never demotes the last
-  // current replica (someone has to keep serving — errors then propagate).
-  // Returns true if another current replica remains to fail over to.
-  bool DemoteLocked(size_t index, bool count_failover);
-  void MarkLaggingDirtyLocked(size_t index, BucketIndex bucket);
+  // Bucket write fan-out, shared by every write and truncate entry point.
+  void FanOutWrite(std::vector<BucketImage> images, std::vector<TruncateRef> truncates,
+                   const WriteSend& send, WriteBucketsDone done);
   // Applies a quorum-acknowledged write/truncate to the live version index.
   void RecordWriteLocked(BucketIndex bucket, uint32_t version, uint32_t slot_count);
   void RecordTruncateLocked(BucketIndex bucket, uint32_t keep_from_version);
-  Status FinishWriteLocked(const std::vector<BucketImage>& images,
-                           const std::vector<TruncateRef>& truncates, uint32_t oks,
-                           const std::vector<size_t>& retryable_failures, Status first_error);
-  // One full catch-up attempt for one lagging replica. HealReplica guards
-  // with the healing flag; HealReplicaImpl does the replay rounds.
+  // Applies a finished fan-out: demotions, dirty marks, the live index.
+  Status FinishWriteLocked(const FanOutCtx& ctx);
+  // One full catch-up attempt for one lagging replica (the replay rounds).
   Status HealReplica(size_t index);
-  Status HealReplicaImpl(size_t index);
 
-  template <typename Result>
-  std::vector<StatusOr<Result>> ReadWithFailover(
-      const std::function<std::vector<StatusOr<Result>>(BucketStore&)>& op, size_t n);
-
-  struct AsyncReadCtx;
-  struct AsyncXorCtx;
-  struct AsyncWriteCtx;
-  void SubmitReadSlots(std::shared_ptr<AsyncReadCtx> ctx);
-  void SubmitReadPathsXor(std::shared_ptr<AsyncXorCtx> ctx);
-
-  const ReplicatedStoreOptions options_;
-  const uint32_t quorum_;
-
-  mutable std::mutex mu_;
-  std::vector<Replica> replicas_;
+  // The health core; its mutex also guards every member below.
+  std::unique_ptr<ReplicaSet<Replica>> set_;
   // Live version index per bucket: version -> slot count. This is the whole
   // replicated state under shadow paging, and the replay plan for catch-up.
   std::vector<std::map<uint32_t, uint32_t>> live_;
@@ -152,17 +135,13 @@ class ReplicatedBucketStore : public BucketStore {
   // about-to-be-primary. writes_cv_ fires when the count hits zero.
   uint32_t writes_in_flight_ = 0;
   std::condition_variable writes_cv_;
-  uint64_t epoch_ = 0;
-  uint64_t failovers_ = 0;
-  uint64_t resyncs_ = 0;
-  uint64_t resync_epochs_ = 0;
-  uint64_t generation_ = 0;
 };
 
 class ReplicatedLogStore : public LogStore {
  public:
   ReplicatedLogStore(std::vector<std::shared_ptr<LogStore>> replicas,
                      ReplicatedStoreOptions options = {});
+  ~ReplicatedLogStore() override;
 
   StatusOr<uint64_t> Append(Bytes record) override;
   StatusOr<uint64_t> AppendSync(Bytes record) override;
@@ -177,6 +156,8 @@ class ReplicatedLogStore : public LogStore {
   Status TryHealReplicas() override;
 
   int PrimaryIndexForTest();
+  // Test hook: payload bytes buffered for lagging replicas' catch-up.
+  size_t BufferedBytesForTest();
 
  private:
   // One buffered op a lagging replica may still need to replay. Appends
@@ -187,56 +168,34 @@ class ReplicatedLogStore : public LogStore {
     uint64_t lsn_or_upto = 0;
     Bytes record;
   };
-  struct Replica {
-    std::shared_ptr<LogStore> store;
-    ReplicaHealth health = ReplicaHealth::kCurrent;
-    uint64_t lag_start_epoch = 0;
-    bool healing = false;
-    // Global index (ops_base_-relative deque offsetting) of the next op this
-    // replica needs. Current replicas always sit at the buffer end.
-    uint64_t next_op = 0;
-    // The op at next_op is an append whose fate is unknown (the transport
-    // failed after send). Catch-up probes NextLsn() before replaying.
-    bool ambiguous = false;
-  };
+  struct Replica;
 
-  int PrimaryIndexLocked() const;
-  // `demote_last`: appends must demote even the last current replica (the
-  // LSN bookkeeping cannot keep serving past a missed record); read
-  // failover keeps the last replica serving instead.
-  bool DemoteLocked(size_t index, bool ambiguous, bool count_failover, bool demote_last);
   // Drop buffered ops every non-dead replica has applied; kill laggards
   // whose tail exceeds the byte cap.
   void TrimOpsLocked();
   StatusOr<uint64_t> AppendImpl(Bytes record, bool fused_sync);
+  // The WAL fan-out shared by Append, Sync (`op` null) and Truncate; the
+  // caller holds io_mu_.
+  Status FanOut(Op* op, bool fused_sync);
   Status HealReplica(size_t index);
-  Status HealReplicaImpl(size_t index);
 
-  const ReplicatedStoreOptions options_;
-  const uint32_t quorum_;
-
-  // WAL order lock, acquired BEFORE mu_ (never the other way around). It
-  // serializes the wire phase of Append/Truncate/Sync so every replica
+  // WAL order lock, acquired BEFORE set_->mu (never the other way around).
+  // It serializes the wire phase of Append/Truncate/Sync so every replica
   // receives ops in exactly the order ops_ records them — at-most-once
   // appends cannot be reordered or raced per replica — and it is the
   // barrier heal snapshots take so replay never re-delivers an op a stale
-  // direct send is still carrying. mu_ alone guards bookkeeping (ops_,
+  // direct send is still carrying. set_->mu alone guards bookkeeping (ops_,
   // cursors, health, next_lsn_), so NextLsn(), replication_stats(), and
   // heal bookkeeping never stall behind a slow replica's transport
   // deadline; appends themselves still serialize (the LSN a replica assigns
   // must match the send order, which a concurrent wire phase would break).
   std::mutex io_mu_;
-  mutable std::mutex mu_;
-  std::vector<Replica> replicas_;
+  // The health core; its mutex also guards every member below.
+  std::unique_ptr<ReplicaSet<Replica>> set_;
   std::deque<Op> ops_;
   uint64_t ops_base_ = 0;   // global index of ops_.front()
   size_t ops_bytes_ = 0;    // payload bytes buffered in ops_
   uint64_t next_lsn_ = 0;
-  uint64_t epoch_ = 0;
-  uint64_t failovers_ = 0;
-  uint64_t resyncs_ = 0;
-  uint64_t resync_epochs_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace obladi
